@@ -270,15 +270,8 @@ let estimate_cmd =
                  conjunctions, impossible levels, tags outside the \
                  document) and print the diagnostics before estimating.")
   in
-  let catalog_file =
-    Arg.(value & opt (some string) None & info [ "catalog" ] ~docv:"FILE"
-           ~doc:"Persist the histogram catalog (histograms + memoized \
-                 pH-join coefficients) in FILE: loaded before estimating \
-                 when present, saved back afterwards, so repeated \
-                 invocations reuse the coefficient arrays.")
-  in
   let run file from_summary from_store query grid equidepth domains exact
-      no_coverage explain check catalog_file =
+      no_coverage explain check =
     let pattern = parse_query query in
     let summary, doc =
       if from_summary || from_store then begin
@@ -299,17 +292,6 @@ let estimate_cmd =
           Some doc )
       end
     in
-    (match catalog_file with
-    | Some path when Sys.file_exists path -> (
-      match Xmlest.Summary.load_catalog path with
-      | Ok from ->
-        let adopted = Xmlest.Summary.adopt_catalog summary ~from in
-        Printf.printf "catalog: adopted %d cached coefficient array%s from %s\n"
-          adopted (if adopted = 1 then "" else "s") path
-      | Error e ->
-        Printf.eprintf "cannot load catalog %s: %s\n" path e;
-        exit 1)
-    | _ -> ());
     let options =
       { Xmlest.Twig_estimator.default_options with use_no_overlap = not no_coverage }
     in
@@ -324,12 +306,6 @@ let estimate_cmd =
         est
         (if check then "" else "; rerun with --check for details")
     else Printf.printf "estimate: %.1f\n" est;
-    (match catalog_file with
-    | Some path ->
-      Xmlest.Summary.save_catalog summary path;
-      Format.printf "%a" Xmlest.Hist_catalog.pp_stats
-        (Xmlest.Summary.hist_catalog summary)
-    | None -> ());
     if explain then begin
       let _, steps = Xmlest.Summary.explain ~options summary pattern in
       List.iter
@@ -360,7 +336,7 @@ let estimate_cmd =
   Cmd.v info
     Term.(const run $ file $ from_summary $ from_store $ query $ grid_arg
           $ equidepth_arg $ domains_arg $ exact $ no_coverage $ explain
-          $ check $ catalog_file)
+          $ check)
 
 (* --- plan -------------------------------------------------------------- *)
 

@@ -38,13 +38,9 @@ let help =
       "  save-summary <file>            persist the summary";
       "  load-summary <file>            load a persisted summary (.xsum maps \
        the binary store)";
-      "  catalog stats                  histogram-catalog cache counters";
-      "  catalog reset                  zero the cache counters";
-      "  catalog save <file>            persist histograms + cached coefficients";
-      "  catalog load <file>            warm the cache from a saved catalog";
       "  help                           this text";
       "";
-      "commands may be prefixed with ':' (e.g. ':catalog stats')";
+      "commands may be prefixed with ':' (e.g. ':summary info')";
     ]
 
 let tag_predicates doc =
@@ -233,32 +229,6 @@ let cmd_save_summary state path =
    with Sys_error msg -> reply "error: %s" msg);
   Printf.sprintf "saved summary to %s" path
 
-let cmd_catalog_stats state =
-  let summary = need_summary state in
-  Format.asprintf "%a" Xmlest_histogram.Catalog.pp_stats
-    (Summary.hist_catalog summary)
-
-let cmd_catalog_reset state =
-  let summary = need_summary state in
-  Xmlest_histogram.Catalog.reset_counters (Summary.hist_catalog summary);
-  "catalog counters reset"
-
-let cmd_catalog_save state path =
-  let summary = need_summary state in
-  (try Summary.save_catalog summary path
-   with Sys_error msg -> reply "error: %s" msg);
-  Printf.sprintf "saved catalog to %s" path
-
-let cmd_catalog_load state path =
-  let summary = need_summary state in
-  match Summary.load_catalog path with
-  | Ok from ->
-    let adopted = Summary.adopt_catalog summary ~from in
-    Printf.sprintf "adopted %d cached coefficient array%s from %s" adopted
-      (if adopted = 1 then "" else "s")
-      path
-  | Error msg -> reply "error: %s" msg
-
 let cmd_update state rest =
   let summary = need_summary state in
   match Summary.Update.parse rest with
@@ -395,12 +365,6 @@ let execute state line =
     | [ "update" ] -> reply "error: usage: update <insert|delete|replace-text|replace-attrs> ..."
     | [ "save-summary"; path ] -> cmd_save_summary state path
     | [ "load-summary"; path ] -> cmd_load_summary state path
-    | [ "catalog"; "stats" ] -> cmd_catalog_stats state
-    | [ "catalog"; "reset" ] -> cmd_catalog_reset state
-    | [ "catalog"; "save"; path ] -> cmd_catalog_save state path
-    | [ "catalog"; "load"; path ] -> cmd_catalog_load state path
-    | [ "catalog" ] | "catalog" :: _ ->
-      reply "error: usage: catalog stats|reset|save <file>|load <file>"
     | cmd :: _ -> reply "error: unknown command %S (try 'help')" cmd
   with
   | Reply s -> s

@@ -28,25 +28,16 @@ type t = {
   entries : (string, entry) Hashtbl.t;  (* keyed by Predicate.name *)
   mutable pop : Position_histogram.t;
   with_levels : bool;
-  mutable hcat : Catalog.t;
-      (* every position histogram (base + built on demand), keyed by
-         Predicate.name, with memoized pH-join coefficient arrays *)
+  hist_cache : (string, Position_histogram.t) Hashtbl.t;
+      (* position histograms of non-base predicates, built from the
+         document on first use, keyed by Predicate.name *)
   lph_cache : (string, Level_position_histogram.t) Hashtbl.t;
   mutable stats : build_stats option;  (* None for summaries loaded from disk *)
   mutable maint : Apply.t option;
       (* incremental-maintenance engine, created lazily on the first
-         [apply]; doc/grid/pop/hcat/stats are mutable so a
+         [apply]; doc/grid/pop/stats are mutable so a
          staleness-triggered rebuild can swap them in place *)
 }
-
-(* The catalog lives below xmlest_estimate in the library stack, so the
-   coefficient computations are injected here, where both are in scope. *)
-let make_hist_catalog () =
-  Catalog.create ~compute_desc:Ph_join.descendant_coefficients
-    ~compute_anc:Ph_join.ancestor_coefficients ()
-
-let register_entries hcat entries =
-  Hashtbl.iter (fun key e -> Catalog.add hcat ~key e.hist) entries
 
 let build_entry ?(schema_no_overlap = fun _ -> None) ~grid ~with_levels doc pred =
   let nodes = Predicate.matching_nodes doc pred in
@@ -106,7 +97,7 @@ let legacy_matching_evals doc pred =
 
 let build_legacy ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
     ?(with_levels = true) doc preds =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let passes = ref 0 and evals = ref 0 in
   let grid =
     match grid_kind with
@@ -140,8 +131,6 @@ let build_legacy ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
         Hashtbl.add entries key e
       end)
     preds;
-  let hcat = make_hist_catalog () in
-  register_entries hcat entries;
   incr passes (* population histogram *);
   {
     doc = Some doc;
@@ -150,7 +139,7 @@ let build_legacy ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
     entries;
     pop = Position_histogram.population doc ~grid;
     with_levels;
-    hcat;
+    hist_cache = Hashtbl.create 8;
     lph_cache = Hashtbl.create 8;
     stats =
       Some
@@ -158,7 +147,7 @@ let build_legacy ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
           path = `Legacy;
           passes = !passes;
           predicate_evals = !evals;
-          build_time = Sys.time () -. t0;
+          build_time = Unix.gettimeofday () -. t0;
         };
     maint = None;
   }
@@ -347,7 +336,7 @@ let sweep_range ~grid ~p ~schema ~with_levels ~upreds ~match_arrays doc ~lo ~hi 
 let build_fused ?grid:grid_override ?(grid_size = 10) ?(grid_kind = `Uniform)
     ?schema_no_overlap ?(with_levels = true) ?(domains = 1) ?chunk_size doc
     preds =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let n = Document.size doc in
   (* Unique predicates in first-occurrence order (the legacy dedup). *)
   let uniq =
@@ -488,8 +477,6 @@ let build_fused ?grid:grid_override ?(grid_size = 10) ?(grid_kind = `Uniform)
       Hashtbl.add entries key
         { pred; hist = Position_histogram.finish hist_b.(u); no_overlap; cvg; lvl })
     uniq;
-  let hcat = make_hist_catalog () in
-  register_entries hcat entries;
   {
     doc = Some doc;
     grid;
@@ -497,7 +484,7 @@ let build_fused ?grid:grid_override ?(grid_size = 10) ?(grid_kind = `Uniform)
     entries;
     pop = Position_histogram.finish pop_b;
     with_levels;
-    hcat;
+    hist_cache = Hashtbl.create 8;
     lph_cache = Hashtbl.create 8;
     stats =
       Some
@@ -508,7 +495,7 @@ let build_fused ?grid:grid_override ?(grid_size = 10) ?(grid_kind = `Uniform)
             | Some _, _ | None, `Uniform -> 1
             | None, `Equidepth -> 2);
           predicate_evals = !pass1_evals + sweep_evals;
-          build_time = Sys.time () -. t0;
+          build_time = Unix.gettimeofday () -. t0;
         };
     maint = None;
   }
@@ -597,7 +584,7 @@ let q_compact q ~base ~scratch ~touched =
 
 let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
     ?(with_levels = true) next preds =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   (* Unique predicates in first-occurrence order (the fused dedup). *)
   let uniq_index = Hashtbl.create 16 in
   let uniq =
@@ -863,8 +850,6 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
       Hashtbl.add entries key
         { pred; hist = Position_histogram.finish hist_b.(u); no_overlap; cvg; lvl })
     uniq;
-  let hcat = make_hist_catalog () in
-  register_entries hcat entries;
   {
     doc = None;
     grid;
@@ -872,7 +857,7 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
     entries;
     pop = Position_histogram.finish pop_b;
     with_levels;
-    hcat;
+    hist_cache = Hashtbl.create 8;
     lph_cache = Hashtbl.create 8;
     stats =
       Some
@@ -880,7 +865,7 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
           path = `Streamed;
           passes;
           predicate_evals = !evals;
-          build_time = Sys.time () -. t0;
+          build_time = Unix.gettimeofday () -. t0;
         };
     maint = None;
   }
@@ -959,10 +944,10 @@ let rebuild t =
     in
     t.grid <- s.grid;
     t.pop <- s.pop;
-    t.hcat <- s.hcat;
     t.stats <- s.stats;
     Hashtbl.reset t.entries;
     Hashtbl.iter (Hashtbl.add t.entries) s.entries;
+    Hashtbl.reset t.hist_cache;
     Hashtbl.reset t.lph_cache;
     t.maint <- None
 
@@ -972,7 +957,7 @@ let apply ?(policy = `Threshold 0.5) t updates =
   t.doc <- Some (Apply.document st);
   (* Regenerate the derived parts of every entry from the maintained
      ground truth.  The position histogram object is untouched (it was
-     mutated in place, version counters bumped); coverage and level
+     mutated in place); coverage and level
      histograms are rebuilt from exact counts through the same
      finalization the streaming builders use, and the no-overlap flag
      follows the exact nesting-pair count (schema overlap overrides from
@@ -997,28 +982,22 @@ let apply ?(policy = `Threshold 0.5) t updates =
         in
         Hashtbl.replace t.entries r.Apply.r_name { e with no_overlap; cvg; lvl })
     (Apply.results st);
-  (* On-demand histograms built from the pre-edit document are stale: drop
-     every catalog key that is not a maintained base entry, and the lazy
-     level-position caches wholesale.  Base-entry coefficient slots stay
-     and re-derive on demand via their bumped versions. *)
-  List.iter
-    (fun key ->
-      if not (Hashtbl.mem t.entries key) then Catalog.remove t.hcat key)
-    (Catalog.keys t.hcat);
+  (* On-demand histograms built from the pre-edit document are stale. *)
+  Hashtbl.reset t.hist_cache;
   Hashtbl.reset t.lph_cache;
   if Staleness.needs_rebuild policy (Apply.staleness st) then rebuild t
 
-(* Resolution order: catalog entry, then on-demand cache, then (for
+(* Resolution order: base entry, then on-demand cache, then (for
    boolean combinations) compound estimation over resolved parts, and for
    unknown leaves a build from the document that is cached for reuse.
-   The catalog consulted (and mutated, by memoized coefficients and
-   on-demand builds) is an explicit argument so batch estimation can hand
-   each domain its own scratch; [histogram] passes the summary's own. *)
-let histogram_in hcat t pred =
+   The cache consulted (and filled) is an explicit argument so batch
+   estimation can hand each domain its own scratch; [histogram] passes
+   the summary's own. *)
+let histogram_in hist_cache t pred =
   let lookup p =
     match find t p with
     | Some e -> Some e.hist
-    | None -> Catalog.find hcat (Predicate.name p)
+    | None -> Hashtbl.find_opt hist_cache (Predicate.name p)
   in
   (* A boolean combination is decomposed (per Sec. 3.4) only when all its
      non-boolean leaves are resolvable; otherwise the whole predicate is
@@ -1040,7 +1019,7 @@ let histogram_in hcat t pred =
            (Predicate.name p))
     | Some doc ->
       let h = Position_histogram.build doc ~grid:t.grid p in
-      Catalog.add hcat ~key:(Predicate.name p) h;
+      Hashtbl.replace hist_cache (Predicate.name p) h;
       h
   in
   let base p =
@@ -1055,7 +1034,7 @@ let histogram_in hcat t pred =
   in
   Compound.estimate ~population:t.pop ~base pred
 
-let histogram t pred = histogram_in t.hcat t pred
+let histogram t pred = histogram_in t.hist_cache t pred
 
 let coverage t pred =
   match find t pred with Some e -> e.cvg | None -> None
@@ -1088,53 +1067,25 @@ let position_levels_in lph_cache t pred =
       Hashtbl.add lph_cache key lph;
       Some lph)
 
-let hist_catalog t = t.hcat
-
-let catalog_in hcat lph_cache t =
+let catalog_in hist_cache lph_cache t =
   {
-    Twig_estimator.hist = histogram_in hcat t;
+    Twig_estimator.hist = histogram_in hist_cache t;
     coverage = coverage t;
     level = level t;
     position_levels = position_levels_in lph_cache t;
-    desc_coefs =
-      (fun p -> Catalog.descendant_coefficients hcat (Predicate.name p));
-    anc_coefs =
-      (fun p -> Catalog.ancestor_coefficients hcat (Predicate.name p));
   }
 
-let catalog t = catalog_in t.hcat t.lph_cache t
-
-let save_catalog t path = Catalog.save t.hcat path
-
-let load_catalog path =
-  Catalog.load ~compute_desc:Ph_join.descendant_coefficients
-    ~compute_anc:Ph_join.ancestor_coefficients path
-
-let adopt_catalog t ~from = Catalog.absorb t.hcat ~from
+let catalog t = catalog_in t.hist_cache t.lph_cache t
 
 let estimate ?options t pattern = Twig_estimator.estimate ?options (catalog t) pattern
 
-(* One domain's scratch for a batch estimation: a fresh catalog holding
-   the same (never-mutated-during-estimation) histogram objects as the
-   summary's, plus a fresh level-position cache, so coefficient
-   memoization and on-demand builds stay domain-local.  Built
-   sequentially, before any domain is spawned. *)
-let scratch_view t =
-  let hcat = make_hist_catalog () in
-  List.iter
-    (fun key ->
-      match Catalog.find t.hcat key with
-      | Some h -> Catalog.add hcat ~key h
-      | None -> ())
-    (Catalog.keys t.hcat);
-  (hcat, Hashtbl.create 8)
-
 (* Estimates are pure functions of the (read-only) summary state —
-   memoized coefficients and on-demand histograms are deterministic — so
+   on-demand histograms are deterministic — so
    fanning the workload across domains returns, in input order, exactly
    the floats [List.map (estimate t)] would: the differential QCheck
-   suite pins this bit for bit.  Scratch work is not written back to the
-   shared summary caches. *)
+   suite pins this bit for bit.  Each domain gets two fresh caches for
+   on-demand histograms, so nothing shared is written; scratch work is
+   not written back. *)
 let estimate_batch ?options ?(domains = 1) t patterns =
   match patterns with
   | [] -> []
@@ -1143,13 +1094,15 @@ let estimate_batch ?options ?(domains = 1) t patterns =
     let pats = Array.of_list patterns in
     let chunks = Chunking.ranges ~n:(Array.length pats) ~count:domains in
     let ntasks = Array.length chunks in
-    let views = Array.init ntasks (fun _ -> scratch_view t) in
+    let views =
+      Array.init ntasks (fun _ -> (Hashtbl.create 8, Hashtbl.create 8))
+    in
     let per_chunk =
       (* lint: allow domain-escape — summary is read-only; views are per-task *)
       Pool.run ~domains ~tasks:ntasks (fun k ->
           let { Chunking.lo; hi } = chunks.(k) in
-          let hcat, lph = views.(k) in
-          let cat = catalog_in hcat lph t in
+          let hist_cache, lph_cache = views.(k) in
+          let cat = catalog_in hist_cache lph_cache t in
           Array.init (hi - lo) (fun i ->
               Twig_estimator.estimate ?options cat pats.(lo + i)))
     in
@@ -1404,8 +1357,6 @@ let of_string input =
     (match words (next ()) with
     | [ "end" ] -> ()
     | _ -> fail "expected end marker");
-    let hcat = make_hist_catalog () in
-    register_entries hcat entries;
     Ok
       {
         doc = None;
@@ -1414,12 +1365,14 @@ let of_string input =
         entries;
         pop;
         with_levels = !with_levels;
-        hcat;
+        hist_cache = Hashtbl.create 8;
         lph_cache = Hashtbl.create 8;
         stats = None;
         maint = None;
       }
-  with Bad_summary msg -> Error msg
+  with
+  | Bad_summary msg -> Error msg
+  | Invalid_argument msg -> Error msg
 
 let save t path =
   let oc = open_out_bin path in
@@ -1432,10 +1385,12 @@ let save t path =
       flush oc)
 
 let load path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
+  match open_in_bin path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> of_string (really_input_string ic (in_channel_length ic)))
 
 (* --- The binary (.xsum) store ------------------------------------------ *)
 
@@ -1549,8 +1504,6 @@ let load_store path =
             };
           preds := pred :: !preds)
         s.Store.s_blocks;
-      let hcat = make_hist_catalog () in
-      register_entries hcat entries;
       Ok
         {
           doc = None;
@@ -1559,7 +1512,7 @@ let load_store path =
           entries;
           pop = hist_of s.Store.s_population;
           with_levels = !with_levels;
-          hcat;
+          hist_cache = Hashtbl.create 8;
           lph_cache = Hashtbl.create 8;
           stats = None;
           maint = None;

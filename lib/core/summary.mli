@@ -153,30 +153,8 @@ val node_count : t -> Predicate.t -> float
 (** Total of the predicate's histogram (exact for catalog predicates). *)
 
 val catalog : t -> Twig_estimator.catalog
-(** View as the estimator's lookup interface.  Its [desc_coefs]/[anc_coefs]
-    fields serve memoized pH-join coefficient arrays from the summary's
-    {!hist_catalog}, so repeated estimates over the same predicates skip
-    the O(g²) coefficient passes. *)
-
-val hist_catalog : t -> Catalog.t
-(** The histogram catalog backing this summary: every position histogram
-    (base predicates and those built on demand), keyed by
-    {!Xmlest_query.Predicate.name}, with memoized pH-join coefficients and
-    hit/miss/recompute counters. *)
-
-val save_catalog : t -> string -> unit
-(** Persist {!hist_catalog} — histograms and currently fresh coefficient
-    arrays — in the catalog's text format (bit-exact floats). *)
-
-val load_catalog : string -> (Catalog.t, string) result
-(** Load a catalog saved by {!save_catalog}, wired to the pH-join
-    coefficient computations. *)
-
-val adopt_catalog : t -> from:Catalog.t -> int
-(** Warm this summary's {!hist_catalog} with the coefficient arrays of a
-    loaded catalog ({!Catalog.absorb}): arrays are adopted for every key
-    whose histogram is cell-identical in both.  Returns the number
-    adopted. *)
+(** View as the estimator's lookup interface: {!histogram}, {!coverage},
+    {!level} and lazily built level-position histograms. *)
 
 val estimate : ?options:Twig_estimator.options -> t -> Pattern.t -> float
 (** Estimate the answer size of a twig pattern. *)
@@ -188,13 +166,12 @@ val estimate_batch :
   Pattern.t list ->
   float list
 (** Estimate a workload of patterns, fanned across [?domains] (default 1)
-    OCaml domains, each with its own scratch coefficient catalog and
-    level-position cache so the memoized state is never shared.  Returns
-    the estimates in input order, bit-identical to
-    [List.map (estimate t)] (property-tested).  With [domains <= 1] this
-    {e is} [List.map (estimate t)]; with more, scratch work (memoized
-    coefficients, on-demand histograms) is discarded rather than written
-    back to the summary's shared caches. *)
+    OCaml domains, each with its own fresh caches for on-demand position
+    and level-position histograms, so no cache is shared.  Returns the
+    estimates in input order, bit-identical to [List.map (estimate t)]
+    (property-tested).  With [domains <= 1] this {e is}
+    [List.map (estimate t)]; with more, histograms built on demand are
+    discarded rather than written back to the summary's caches. *)
 
 val check : t -> Pattern.t -> Pattern_check.diag list
 (** Static analysis of the pattern against this summary
@@ -244,13 +221,13 @@ val storage_bytes : t -> int
     most twice its reported drift mass; totals, counts and level
     histograms stay exact).
 
-    Maintenance mutates position histograms in place, bumping their
-    version counters, so memoized pH-join coefficients in {!hist_catalog}
-    invalidate automatically — the next estimate recomputes them.
-    On-demand histograms built for non-base predicates are dropped from
-    the catalog on every [apply]; the no-overlap flag follows the exact
-    nesting-pair count, so schema-declared overrides from the original
-    build are not preserved. *)
+    Maintenance mutates position histograms in place.  Nothing derived
+    from them is cached (the pH-join kernel reads the cells on every
+    call), so the next estimate sees the edit.  On-demand histograms
+    built for non-base predicates are dropped on every [apply]; the
+    no-overlap flag follows the exact nesting-pair count, so
+    schema-declared overrides from the original build are not
+    preserved. *)
 
 module Update = Xmlest_maintain.Update
 module Staleness = Xmlest_maintain.Staleness
@@ -270,7 +247,7 @@ val staleness : t -> Staleness.report option
 val rebuild : t -> unit
 (** Full fused rebuild from the current document revision, swapped in
     place: the grid is re-derived at the same size and kind, histograms
-    and the coefficient catalog are replaced, drift counters reset.
+    are replaced and on-demand caches emptied, drift counters reset.
     No-op for summaries without a document. *)
 
 val pp_stats : Format.formatter -> t -> unit
@@ -287,8 +264,15 @@ val pp_stats : Format.formatter -> t -> unit
 
 val to_string : t -> string
 val of_string : string -> (t, string) result
+(** Parse the text format.  Malformed input — including cells outside
+    the grid or below its diagonal and invalid grid parameters — yields
+    [Error], never an exception. *)
+
 val save : t -> string -> unit
+
 val load : string -> (t, string) result
+(** {!of_string} over a file's contents; a file that cannot be opened is
+    an [Error] too. *)
 
 val save_store : t -> string -> unit
 (** Persist to the binary [.xsum] format ([Store]): a small text header
@@ -301,6 +285,4 @@ val load_store : string -> (t, string) result
 (** Open a [.xsum] store by memory-mapping its payload: O(header) work —
     no per-cell parsing or adds — with each histogram holding a zero-copy
     slice of the (copy-on-write) mapping.  Like {!load}, the result
-    carries no document and no stats, and its coefficient catalog starts
-    cold: histogram version counters restart at 0, so no stale memoized
-    pH-join arrays can be mistaken for fresh ones. *)
+    carries no document and no stats. *)

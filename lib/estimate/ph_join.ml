@@ -119,34 +119,105 @@ let check_grids a b =
   if not (Grid.compatible (Position_histogram.grid a) (Position_histogram.grid b))
   then invalid_arg "Ph_join: histograms have incompatible grids"
 
-let estimate_cells ?(direction = Ancestor_based) ~anc ~desc () =
+(* The estimation kernel: one sweep over the grid, no coefficient arrays.
+
+   Ancestor-based.  With the descendant band
+     band(i,j) = Σ_{i <= k <= l <= j} B[k][l]
+   (Fig. 10's M[i][j]), the Fig. 9 coefficient of an off-diagonal
+   ancestor cell — inside 1, shared column and row 1 except the corners
+   (i,i) and (j,j) at 1/2, the cell itself 1/4 — collapses to
+     band(i,j) - B[i][i]/2 - B[j][j]/2 - 3B[i][j]/4,
+   and that of an on-diagonal cell to B[i][i]/12.  Rows are swept from
+   g-1 down to 0 with one rolling row holding band(i, .), updated by
+   band(i,j) = band(i+1,j) + Σ_{l = i..j} B[i][l].  The three
+   subtracted cells lie inside the band, so on non-negative counts the
+   difference keeps at least a quarter of the band: no cancellation, and
+   never below 0.
+
+   Descendant-based.  The mirror sweep: rows from 0 up, a rolling row
+   holding the dominance sum D(i,j) = Σ_{k <= i, l >= j} A[k][l]
+   (suffix sums of each row), every ancestor cell at weight 1 except the
+   shared cell, patched to 1/4 (1/12 on the diagonal).
+
+   Each non-zero product is written to [out] when given and added to the
+   returned total in sweep order, so the result is deterministic.  Cells
+   are read through the raw row-major vectors: the sweep is O(g²) flops,
+   and per-cell [Position_histogram.get] index arithmetic would cost
+   about as much again. *)
+let sweep direction ~anc ~desc out =
   check_grids anc desc;
-  let grid = Position_histogram.grid anc in
-  let g = grid.Grid.size in
-  let out = Position_histogram.create_empty grid in
+  let g = (Position_histogram.grid anc).Grid.size in
+  let a = Position_histogram.cells anc and b = Position_histogram.cells desc in
+  let acc = Array.make g 0.0 in
+  let total = ref 0.0 in
+  (* Emission is written out in both loops rather than shared through a
+     closure: a closure call per non-zero cell boxes its float argument
+     and costs about a fifth of the sweep. *)
   (match direction with
   | Ancestor_based ->
-    let coef = descendant_coefficients desc in
-    Position_histogram.iter_nonzero anc (fun ~i ~j count ->
-        let est = count *. coef.(idx g i j) in
-        if not (Float.equal est 0.0) then Position_histogram.add out ~i ~j est)
+    for i = g - 1 downto 0 do
+      let row = i * g in
+      let b_ii = b.{row + i} in
+      let prefix = ref 0.0 in
+      for j = i to g - 1 do
+        let b_ij = b.{row + j} in
+        prefix := !prefix +. b_ij;
+        let band = acc.(j) +. !prefix in
+        acc.(j) <- band;
+        let a_ij = a.{row + j} in
+        if not (Float.equal a_ij 0.0) then begin
+          let coef =
+            if Int.equal i j then b_ii /. 12.0
+            else
+              band -. (0.5 *. b_ii) -. (0.5 *. b.{(j * g) + j}) -. (0.75 *. b_ij)
+          in
+          let est = a_ij *. coef in
+          if not (Float.equal est 0.0) then begin
+            (match out with Some o -> o.{row + j} <- est | None -> ());
+            total := !total +. est
+          end
+        end
+      done
+    done
   | Descendant_based ->
-    let coef = ancestor_coefficients anc in
-    Position_histogram.iter_nonzero desc (fun ~i ~j count ->
-        let est = count *. coef.(idx g i j) in
-        if not (Float.equal est 0.0) then Position_histogram.add out ~i ~j est));
-  out
+    for i = 0 to g - 1 do
+      let row = i * g in
+      let suffix = ref 0.0 in
+      for j = g - 1 downto i do
+        let a_ij = a.{row + j} in
+        suffix := !suffix +. a_ij;
+        let dominance = acc.(j) +. !suffix in
+        acc.(j) <- dominance;
+        let b_ij = b.{row + j} in
+        if not (Float.equal b_ij 0.0) then begin
+          let patch =
+            if Int.equal i j then a_ij -. (a_ij /. 12.0) else 0.75 *. a_ij
+          in
+          let est = b_ij *. (dominance -. patch) in
+          if not (Float.equal est 0.0) then begin
+            (match out with Some o -> o.{row + j} <- est | None -> ());
+            total := !total +. est
+          end
+        end
+      done
+    done);
+  !total
 
-let estimate ?direction ~anc ~desc () =
-  Position_histogram.total (estimate_cells ?direction ~anc ~desc ())
+let estimate_cells ?(direction = Ancestor_based) ~anc ~desc () =
+  let grid = Position_histogram.grid anc in
+  let out = F64.create (Grid.cells grid) in
+  let total = sweep direction ~anc ~desc (Some out) in
+  Position_histogram.of_bigarray ~grid ~total out
 
-(* Same per-cell evaluation as [estimate_cells], with the O(g²) coefficient
-   pass replaced by a caller-provided array (e.g. memoized in a
-   [Catalog]).  With [Ancestor_based] the coefficients must be
-   [descendant_coefficients desc]; with [Descendant_based],
-   [ancestor_coefficients anc].  Kept structurally identical to
-   [estimate_cells] — including skipping zero products — so cached and
-   uncached runs produce bit-identical histograms. *)
+let estimate ?(direction = Ancestor_based) ~anc ~desc () =
+  sweep direction ~anc ~desc None
+
+(* Fig. 9's precomputed-coefficient form: the per-cell products with the
+   coefficient pass replaced by a caller-provided array.  With
+   [Ancestor_based] the coefficients must be [descendant_coefficients
+   desc]; with [Descendant_based], [ancestor_coefficients anc].  The
+   estimator does not use it; it is the reference the fused kernel is
+   tested and timed against. *)
 let estimate_cells_with ?(direction = Ancestor_based) ~coefs ~anc ~desc () =
   check_grids anc desc;
   let grid = Position_histogram.grid anc in
@@ -165,9 +236,6 @@ let estimate_cells_with ?(direction = Ancestor_based) ~coefs ~anc ~desc () =
       let est = count *. coefs.(idx g i j) in
       if not (Float.equal est 0.0) then Position_histogram.add out ~i ~j est);
   out
-
-let estimate_with ?direction ~coefs ~anc ~desc () =
-  Position_histogram.total (estimate_cells_with ?direction ~coefs ~anc ~desc ())
 
 (* Sparse evaluation over the non-zero cells.
 

@@ -17,8 +17,14 @@
     up-left (and the shared column/row, which legality arguments make
     certain) with 1 and the shared cell with 1/4 (1/12 on-diagonal).
 
-    Each variant runs in three passes over the grid, O(g²) total, and also
-    yields the per-cell estimate histogram needed for twig composition. *)
+    {!estimate} and {!estimate_cells} evaluate either variant in one fused
+    sweep over the grid — O(g²) time, one rolling row of g partial sums,
+    nothing cached between calls — and also yield the per-cell estimate
+    histogram needed for twig composition.  {!descendant_coefficients},
+    {!ancestor_coefficients} and {!estimate_cells_with} keep Fig. 9's
+    precomputed-coefficient form as the reference the kernel is tested
+    against; {!estimate_sparse} is the O(k log k) form over non-zero
+    cells (Theorem 1). *)
 
 open Xmlest_histogram
 
@@ -74,7 +80,10 @@ val estimate_cells :
 (** Per-cell estimate histogram: with [Ancestor_based] the estimate is
     attributed to the ancestor's cell; with [Descendant_based] to the
     descendant's cell.  Its {!Position_histogram.total} equals
-    {!estimate}. *)
+    {!estimate} bit for bit (same sweep, same summation order).  Every
+    cell equals [estimate_cells_with] over the matching coefficient array
+    up to floating-point reassociation (the tests pin a relative
+    tolerance of 1e-12). *)
 
 val estimate_cells_with :
   ?direction:direction ->
@@ -83,19 +92,10 @@ val estimate_cells_with :
   desc:Position_histogram.t ->
   unit ->
   Position_histogram.t
-(** Like {!estimate_cells}, but with the O(g²) coefficient pass replaced
-    by a precomputed array — [descendant_coefficients desc] when
+(** Fig. 9's precomputed-coefficient form: the per-cell products
+    [count × coefs.(cell)] over the outer histogram, with the coefficient
+    pass supplied by the caller — [descendant_coefficients desc] when
     [Ancestor_based] (the default), [ancestor_coefficients anc] when
-    [Descendant_based] — typically served from a
-    {!Xmlest_histogram.Catalog}.  Produces a bit-identical histogram to
-    {!estimate_cells}.  Raises [Invalid_argument] when the array length
-    does not match the grid. *)
-
-val estimate_with :
-  ?direction:direction ->
-  coefs:float array ->
-  anc:Position_histogram.t ->
-  desc:Position_histogram.t ->
-  unit ->
-  float
-(** Total of {!estimate_cells_with}; bit-identical to {!estimate}. *)
+    [Descendant_based].  Not on the estimation path; kept as the
+    reference {!estimate_cells} is tested and timed against.  Raises
+    [Invalid_argument] when the array length does not match the grid. *)

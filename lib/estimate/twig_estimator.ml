@@ -6,8 +6,6 @@ type catalog = {
   coverage : Predicate.t -> Coverage_histogram.t option;
   level : Predicate.t -> Level_histogram.t option;
   position_levels : Predicate.t -> Level_position_histogram.t option;
-  desc_coefs : Predicate.t -> float array option;
-  anc_coefs : Predicate.t -> float array option;
 }
 
 type child_mode = As_descendant | Level_scaled | Cell_level_scaled
@@ -28,35 +26,37 @@ let default_options =
 (* A view of a partially-assembled sub-twig, keyed at its root node. *)
 type view = {
   part : Position_histogram.t;  (* participating-node estimate per cell *)
-  jn : float array;  (* join factor per cell (dense row-major) *)
+  jn : float array option;
+      (* join factor per cell (dense row-major); [None] when it is 1
+         everywhere, as for leaves and after overlap joins *)
   raw : Position_histogram.t;  (* untouched predicate histogram, for
                                   coverage participation scaling *)
-  source : Predicate.t option;
-      (* Some p iff part × jn is value-identical to the catalog histogram
-         of p (true for leaf views, lost after any join or scaling) — the
-         licence to reuse p's memoized pH-join coefficients *)
 }
 
 let idx g i j = (i * g) + j
 
-(* part × jn, the per-cell expected match count. *)
-let weighted v =
-  let grid = Position_histogram.grid v.part in
-  let g = grid.Grid.size in
-  let out = Position_histogram.create_empty grid in
-  Position_histogram.iter_nonzero v.part (fun ~i ~j count ->
-      let w = count *. v.jn.(idx g i j) in
-      if not (Float.equal w 0.0) then Position_histogram.add out ~i ~j w);
-  out
+let join_factor v g i j = match v.jn with None -> 1.0 | Some jn -> jn.(idx g i j)
 
-let leaf_view ?source hist =
-  let grid = Position_histogram.grid hist in
-  {
-    part = Position_histogram.copy hist;
-    jn = Array.make (Grid.cells grid) 1.0;
-    raw = hist;
-    source;
-  }
+(* part × jn, the per-cell expected match count.  With unit join factors
+   that is [part] itself: no O(g²) copy.  Views never mutate their
+   histograms, so a leaf can share the summary's. *)
+let weighted v =
+  match v.jn with
+  | None -> v.part
+  | Some jn ->
+    let grid = Position_histogram.grid v.part in
+    let g = grid.Grid.size in
+    let out = Position_histogram.create_empty grid in
+    Position_histogram.iter_nonzero v.part (fun ~i ~j count ->
+        let w = count *. jn.(idx g i j) in
+        if not (Float.equal w 0.0) then Position_histogram.add out ~i ~j w);
+    out
+
+let leaf_view hist = { part = hist; jn = None; raw = hist }
+
+(* x × 1.0 = x exactly, so a unit factor needs no scaled copy. *)
+let scale h factor =
+  if Float.equal factor 1.0 then h else Position_histogram.scale h factor
 
 (* Σ_{i <= m <= n <= j} h[m][n]: the descendant band of each cell,
    Fig. 10's M[i][j].  O(g²) by the recurrence T[i][j] = T[i+1][j] +
@@ -80,48 +80,24 @@ let band_sums h =
    The view stays keyed at the ancestor predicate, so per-cell attribution
    is always ancestor-based; when the descendant-based estimator is
    requested, its (generally different) total is preserved by scaling the
-   ancestor-keyed cells uniformly.
-
-   When a side of the join is still an untouched catalog histogram (its
-   [source] is known) and the catalog can serve that predicate's memoized
-   coefficient array, the O(g²) coefficient pass is skipped — bit-identical
-   results, per Ph_join.estimate_cells_with. *)
-let join_overlap options catalog ~desc_source anc_view desc_weight =
+   ancestor-keyed cells uniformly. *)
+let join_overlap options anc_view desc_weight =
   let anc = weighted anc_view in
-  let cached_desc_coefs =
-    Option.bind desc_source (fun p -> catalog.desc_coefs p)
-  in
-  let est_cells =
-    match cached_desc_coefs with
-    | Some coefs ->
-      Ph_join.estimate_cells_with ~coefs ~anc ~desc:desc_weight ()
-    | None -> Ph_join.estimate_cells ~anc ~desc:desc_weight ()
-  in
+  let est_cells = Ph_join.estimate_cells ~anc ~desc:desc_weight () in
   let est_cells =
     match options.direction with
     | Ph_join.Ancestor_based -> est_cells
     | Ph_join.Descendant_based ->
       let anc_total = Position_histogram.total est_cells in
       let desc_total =
-        match Option.bind anc_view.source (fun p -> catalog.anc_coefs p) with
-        | Some coefs ->
-          Ph_join.estimate_with ~direction:Ph_join.Descendant_based ~coefs ~anc
-            ~desc:desc_weight ()
-        | None ->
-          Ph_join.estimate ~direction:Ph_join.Descendant_based ~anc
-            ~desc:desc_weight ()
+        Ph_join.estimate ~direction:Ph_join.Descendant_based ~anc
+          ~desc:desc_weight ()
       in
       if anc_total > 0.0 then
         Position_histogram.scale est_cells (desc_total /. anc_total)
       else est_cells
   in
-  let grid = Position_histogram.grid est_cells in
-  {
-    part = est_cells;
-    jn = Array.make (Grid.cells grid) 1.0;
-    raw = anc_view.raw;
-    source = None;
-  }
+  { part = est_cells; jn = None; raw = anc_view.raw }
 
 (* No-overlap composition (ancestor predicate cannot nest): coverage-based
    estimate, balls-in-bins participation (case 2), join factor update. *)
@@ -133,7 +109,7 @@ let join_no_overlap anc_view coverage desc_weight desc_part =
     if raw <= 0.0 then 0.0
     else begin
       let ratio = Position_histogram.get anc_view.part ~i ~j /. raw in
-      anc_view.jn.(idx g i j) *. ratio
+      join_factor anc_view g i j *. ratio
     end
   in
   let est_cells =
@@ -148,7 +124,7 @@ let join_no_overlap anc_view coverage desc_weight desc_part =
         Position_histogram.add new_part ~i ~j p;
         new_jn.(idx g i j) <- Position_histogram.get est_cells ~i ~j /. p
       end);
-  { part = new_part; jn = new_jn; raw = anc_view.raw; source = None }
+  { part = new_part; jn = Some new_jn; raw = anc_view.raw }
 
 (* Parent-child edge with per-cell level correction (extension): a
    Child_join over the weighted histograms; participation follows the
@@ -158,18 +134,12 @@ let join_child_cell_level acc desc_weight ~anc_lph ~desc_lph =
     Child_join.estimate_cells ~anc:(weighted acc) ~desc:desc_weight
       ~anc_levels:anc_lph ~desc_levels:desc_lph ()
   in
-  let grid = Position_histogram.grid est_cells in
-  {
-    part = est_cells;
-    jn = Array.make (Grid.cells grid) 1.0;
-    raw = acc.raw;
-    source = None;
-  }
+  { part = est_cells; jn = None; raw = acc.raw }
 
 type step = { subtwig : string; method_used : string; estimate : float }
 
 let rec view ?(options = default_options) ?trace catalog (p : Pattern.t) =
-  let self = leaf_view ~source:p.Pattern.pred (catalog.hist p.Pattern.pred) in
+  let self = leaf_view (catalog.hist p.Pattern.pred) in
   let coverage =
     if options.use_no_overlap then catalog.coverage p.Pattern.pred else None
   in
@@ -197,16 +167,11 @@ let rec view ?(options = default_options) ?trace catalog (p : Pattern.t) =
         | Pattern.Child, Cell_level_scaled ->
           if cell_level_available () then 1.0 else global_factor ()
       in
-      let desc_weight = Position_histogram.scale (weighted child_view) factor in
-      (* Scaling by anything but 1 changes the cell values, so the child's
-         memoized coefficients no longer describe desc_weight. *)
-      let desc_source =
-        if Float.equal factor 1.0 then child_view.source else None
-      in
+      let desc_weight = scale (weighted child_view) factor in
       let joined, method_used =
         match coverage with
         | Some cvg ->
-          let desc_part = Position_histogram.scale child_view.part factor in
+          let desc_part = scale child_view.part factor in
           (join_no_overlap acc cvg desc_weight desc_part, "coverage")
         | None -> (
           match (axis, options.child_mode) with
@@ -219,11 +184,9 @@ let rec view ?(options = default_options) ?trace catalog (p : Pattern.t) =
               (join_child_cell_level acc desc_weight ~anc_lph ~desc_lph,
                "child-cell-level")
             | _ ->
-              (join_overlap options catalog ~desc_source acc desc_weight,
-               "pH-join"))
+              (join_overlap options acc desc_weight, "pH-join"))
           | _ ->
-            (join_overlap options catalog ~desc_source acc desc_weight,
-             "pH-join"))
+            (join_overlap options acc desc_weight, "pH-join"))
       in
       (match trace with
       | None -> ()
@@ -237,7 +200,7 @@ let rec view ?(options = default_options) ?trace catalog (p : Pattern.t) =
         let grid = Position_histogram.grid joined.part in
         let g = grid.Grid.size in
         Position_histogram.iter_nonzero joined.part (fun ~i ~j count ->
-            total := !total +. (count *. joined.jn.(idx g i j)));
+            total := !total +. (count *. join_factor joined g i j));
         log :=
           {
             subtwig = Pattern.to_string !assembled;
@@ -253,7 +216,7 @@ let total_matches v =
   let g = grid.Grid.size in
   let acc = ref 0.0 in
   Position_histogram.iter_nonzero v.part (fun ~i ~j count ->
-      acc := !acc +. (count *. v.jn.(idx g i j)));
+      acc := !acc +. (count *. join_factor v g i j));
   !acc
 
 let estimate ?options catalog pattern = total_matches (view ?options catalog pattern)

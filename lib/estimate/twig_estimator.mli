@@ -35,12 +35,6 @@ type catalog = {
       (** level histogram, for [Level_scaled] child edges *)
   position_levels : Predicate.t -> Level_position_histogram.t option;
       (** per-cell level histogram, for [Cell_level_scaled] child edges *)
-  desc_coefs : Predicate.t -> float array option;
-      (** memoized {!Ph_join.descendant_coefficients} of the predicate's
-          histogram (typically served by an {!Xmlest_histogram.Catalog});
-          [None] disables the cached fast path for that predicate *)
-  anc_coefs : Predicate.t -> float array option;
-      (** memoized {!Ph_join.ancestor_coefficients}, same contract *)
 }
 
 type child_mode =

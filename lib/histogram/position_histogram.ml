@@ -8,15 +8,14 @@ type t = {
   grid : Grid.t;
   counts : F64.t;
   mutable total : float;
-  mutable version : int;
 }
 
 let create_empty grid =
-  { grid; counts = F64.create (Grid.cells grid); total = 0.0; version = 0 }
+  { grid; counts = F64.create (Grid.cells grid); total = 0.0 }
 
 let grid t = t.grid
 
-let version t = t.version
+let cells t = t.counts
 
 (* Only the upper triangle is meaningful (start bucket <= end bucket, see
    Lemma 1's staircase): a write below the diagonal would inflate [total]
@@ -41,20 +40,18 @@ let set t ~i ~j v =
   check_cell "set" t ~i ~j;
   let idx = Grid.index t.grid ~i ~j in
   t.total <- t.total -. t.counts.{idx} +. v;
-  t.counts.{idx} <- v;
-  t.version <- t.version + 1
+  t.counts.{idx} <- v
 
 let add t ~i ~j v =
   check_cell "add" t ~i ~j;
   let idx = Grid.index t.grid ~i ~j in
   t.counts.{idx} <- t.counts.{idx} +. v;
-  t.total <- t.total +. v;
-  t.version <- t.version + 1
+  t.total <- t.total +. v
 
 let total t = t.total
 
 (* Streaming builder: unit-count increments without the per-call cell
-   validation and version bump of [add].  Cells arriving from
+   validation of [add].  Cells arriving from
    [Grid.cell_of_node] are always in the upper triangle (start < end and
    bucketization is monotone), so the checks are redundant on this path.
    The total is summed once at [finish]; since every count is an integer
@@ -84,13 +81,12 @@ let finish b =
     grid = b.b_grid;
     counts = F64.of_array b.b_counts;
     total = Array.fold_left ( +. ) 0.0 b.b_counts;
-    version = 0;
   }
 
 let of_bigarray ~grid ~total counts =
   if not (Int.equal (F64.length counts) (Grid.cells grid)) then
     invalid_arg "Position_histogram.of_bigarray: cell count does not match grid";
-  { grid; counts; total; version = 0 }
+  { grid; counts; total }
 
 let of_nodes doc ~grid nodes =
   let b = builder grid in
@@ -111,7 +107,7 @@ let population doc ~grid =
   finish b
 
 let copy t =
-  { grid = t.grid; counts = F64.copy t.counts; total = t.total; version = 0 }
+  { grid = t.grid; counts = F64.copy t.counts; total = t.total }
 
 let equal a b =
   Grid.compatible a.grid b.grid && F64.equal a.counts b.counts
@@ -124,7 +120,7 @@ let map2 f a b =
   for c = 0 to n - 1 do
     counts.{c} <- f a.counts.{c} b.counts.{c}
   done;
-  { grid = a.grid; counts; total = F64.fold_left ( +. ) 0.0 counts; version = 0 }
+  { grid = a.grid; counts; total = F64.fold_left ( +. ) 0.0 counts }
 
 let scale t k =
   let n = F64.length t.counts in
@@ -132,7 +128,7 @@ let scale t k =
   for c = 0 to n - 1 do
     counts.{c} <- t.counts.{c} *. k
   done;
-  { grid = t.grid; counts; total = t.total *. k; version = 0 }
+  { grid = t.grid; counts; total = t.total *. k }
 
 let iter_nonzero t f =
   let g = t.grid.Grid.size in

@@ -30,7 +30,7 @@ val create_empty : Grid.t -> t
 
     The per-node feed used by the fused summary sweep: one shared document
     traversal drives many builders at once.  [feed]/[feed_cell] add a unit
-    count without the per-call validation and version bump of {!add}
+    count without the per-call validation of {!add}
     (cells computed by {!Grid.cell_of_node} are always valid);
     [finish] totals the counts — bit-identical to the same sequence of
     {!add} calls, since unit counts are exact integers. *)
@@ -55,39 +55,35 @@ val merge_into : into:builder -> builder -> unit
     whole sequence.  Raises [Invalid_argument] on incompatible grids. *)
 
 val finish : builder -> t
-(** Freeze into a histogram (version 0).  The builder must not be fed
-    afterwards. *)
+(** Freeze into a histogram.  The builder must not be fed afterwards. *)
 
 val of_bigarray : grid:Grid.t -> total:float -> F64.t -> t
 (** Adopt a float64 vector (dense row-major cells, length
     [Grid.cells grid]) as the histogram's storage without copying —
     the zero-copy view constructor used when opening a memory-mapped
     summary store.  [total] must be the sum of the cells (the store
-    records it so opening stays O(1)).  Version starts at 0, so caches
-    keyed on {!version} (e.g. [Catalog] coefficient slots) cannot
-    mistake a freshly mapped histogram for an already-seen one.
-    Raises [Invalid_argument] on a length mismatch. *)
+    records it so opening stays O(1)).  Raises [Invalid_argument] on a
+    length mismatch. *)
 
 val grid : t -> Grid.t
 val get : t -> i:int -> j:int -> float
+
+val cells : t -> F64.t
+(** The dense row-major cell vector ([Grid.index] order) itself, not a
+    copy — for kernels that sweep every cell, where {!get}'s per-call
+    index computation dominates.  Read-only by contract: write through
+    {!set}/{!add} so {!total} stays consistent. *)
 
 val set : t -> i:int -> j:int -> float -> unit
 (** Overwrite a cell.  Raises [Invalid_argument] for cells outside the grid
     or below the diagonal ([i > j]): since [start < end] for every node,
     only upper-triangle cells are meaningful, and a below-diagonal write
-    would inflate {!total} while staying invisible to {!iter_nonzero}.
-    Bumps {!version}. *)
+    would inflate {!total} while staying invisible to {!iter_nonzero}. *)
 
 val add : t -> i:int -> j:int -> float -> unit
-(** Accumulate into a cell.  Same cell validation as {!set}; bumps
-    {!version}. *)
+(** Accumulate into a cell.  Same cell validation as {!set}. *)
 
 val total : t -> float
-
-val version : t -> int
-(** Mutation counter: starts at 0 and is bumped by every {!set}/{!add}.
-    Consumers that memoize derived data (e.g. {!Catalog}'s pH-join
-    coefficient arrays) compare versions to detect staleness. *)
 
 val copy : t -> t
 

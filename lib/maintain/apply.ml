@@ -3,9 +3,8 @@ open Xmlest_query
 open Xmlest_histogram
 
 (* Per-predicate maintained statistics.  [hist] is the very object the
-   summary entry (and the coefficient catalog) holds, mutated in place via
-   [Position_histogram.add] so that every edit bumps its version counter
-   and cached pH-join coefficients invalidate for free.  Everything else
+   summary entry holds, mutated in place via [Position_histogram.add], so
+   estimates see every edit without a copy.  Everything else
    is integer ground truth from which the derived histograms (coverage
    fractions, trimmed level counts, no-overlap flag) are regenerated
    after each apply batch. *)

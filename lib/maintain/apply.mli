@@ -17,9 +17,8 @@
       nesting pairs and the coverage entries of its subtree.
 
     Position histograms are mutated in place via
-    [Position_histogram.add], so each edit bumps their version counters
-    and any memoized pH-join coefficients in a {!Catalog} invalidate
-    automatically (the next lookup recomputes).
+    [Position_histogram.add], so the summary's own histogram objects
+    reflect each edit at once.
 
     The engine lives below the summary layer: [Summary.apply] owns an
     instance, initializes it lazily from the attached document with

@@ -214,6 +214,49 @@ let test_load_rejects_garbage () =
   let text = Xmlest.Summary.to_string s in
   bad (String.sub text 0 (String.length text / 2))
 
+(* The text loader is total: malformed cells and grids, and a file that
+   cannot be opened, come back as [Error], never as an exception. *)
+let test_load_total_on_bad_cells () =
+  let _, s = staff_summary () in
+  let lines = String.split_on_char '\n' (Xmlest.Summary.to_string s) in
+  (* the first cell line of the population section *)
+  let first_cell =
+    let rec find k = function
+      | l :: rest ->
+        if String.length l >= 11 && String.equal (String.sub l 0 11) "population "
+        then k + 1
+        else find (k + 1) rest
+      | [] -> Alcotest.fail "no population section"
+    in
+    find 0 lines
+  in
+  let with_line k f =
+    String.concat "\n" (List.mapi (fun n l -> if Int.equal n k then f l else l) lines)
+  in
+  let value l =
+    match List.rev (String.split_on_char ' ' l) with
+    | v :: _ -> v
+    | [] -> Alcotest.fail "empty cell line"
+  in
+  let expect_error what input =
+    match Xmlest.Summary.of_string input with
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error _ -> ()
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  expect_error "cell below the diagonal"
+    (with_line first_cell (fun l -> "5 1 " ^ value l));
+  expect_error "cell outside the grid"
+    (with_line first_cell (fun l -> "0 99 " ^ value l));
+  expect_error "zero-size grid" (with_line 1 (fun _ -> "grid uniform 0 10"));
+  let missing =
+    Filename.concat (Filename.get_temp_dir_name ()) "xmlest-no-such-summary"
+  in
+  match Xmlest.Summary.load missing with
+  | Ok _ -> Alcotest.fail "missing file: accepted"
+  | Error _ -> ()
+  | exception e -> Alcotest.failf "missing file: raised %s" (Printexc.to_string e)
+
 let test_loaded_summary_unknown_predicate () =
   let _, s = staff_summary () in
   match Xmlest.Summary.of_string (Xmlest.Summary.to_string s) with
@@ -645,7 +688,7 @@ let prop_estimate_batch_bit_identical =
       let s = Xmlest.Summary.build ~grid_size doc [ tagp "a"; tagp "b"; tagp "c" ] in
       let pats =
         (* //d//e exercises on-demand histogram builds inside the
-           domain-local scratch catalogs *)
+           domain-local scratch caches *)
         List.map Xmlest.Pattern_parser.pattern_exn
           [ "//a"; "//a//b"; "//b//c"; "//a//b//c"; "//a/b"; "//c"; "//d//e" ]
       in
@@ -680,6 +723,22 @@ let test_parallel_build_datasets () =
                (Xmlest.Summary.build ~grid_kind ~domains doc preds)))
         [ 2; 4; 16 ])
     [ `Uniform; `Equidepth ]
+
+(* [build_time] is wall-clock: a 2-domain build cannot report more time
+   than passed around the call (process CPU time, summed over domains,
+   can). *)
+let test_build_time_is_wall_clock () =
+  let doc = Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.05) in
+  let preds = [ tagp "article"; tagp "author"; tagp "cite"; tagp "title" ] in
+  let t0 = Unix.gettimeofday () in
+  let s = Xmlest.Summary.build ~domains:2 ~chunk_size:512 doc preds in
+  let wall = Unix.gettimeofday () -. t0 in
+  match Xmlest.Summary.stats s with
+  | None -> Alcotest.fail "built summary should carry stats"
+  | Some st ->
+    let bt = st.Xmlest.Summary.build_time in
+    if not (bt >= 0.0 && bt <= wall) then
+      Alcotest.failf "build_time %.6f s outside [0, %.6f s] of wall time" bt wall
 
 let test_build_stats () =
   let doc = Test_util.fig1_doc () in
@@ -832,30 +891,30 @@ let test_store_open_rejects_garbage () =
   | Error _ -> ());
   Sys.remove path
 
-(* Satellite: a summary reopened from a store must start with a cold
-   coefficient catalog — version counters restart at 0, so stale memoized
-   pH-join arrays from the original summary can never be served. *)
-let test_store_reopen_cold_catalog () =
-  let _, s = staff_summary () in
-  (* warm the original's catalog *)
-  ignore (Xmlest.Summary.estimate_string s "//manager//employee");
-  ignore (Xmlest.Summary.estimate_string s "//department//email");
-  Alcotest.(check bool) "original catalog warmed" true
-    (Xmlest.Hist_catalog.cached_arrays (Xmlest.Summary.hist_catalog s) > 0);
-  let s' = reopened s in
-  let cat' = Xmlest.Summary.hist_catalog s' in
-  check Alcotest.int "no cached arrays carried over" 0
-    (Xmlest.Hist_catalog.cached_arrays cat');
-  let warm = Xmlest.Summary.estimate_string s' "//manager//employee" in
-  let c1 = Xmlest.Hist_catalog.counters cat' in
-  Alcotest.(check bool) "first estimate misses, not hits" true
-    (c1.Xmlest.Hist_catalog.misses > 0 && Int.equal c1.Xmlest.Hist_catalog.hits 0);
-  (* and the freshly computed coefficients are served from cache after *)
-  let again = Xmlest.Summary.estimate_string s' "//manager//employee" in
-  let c2 = Xmlest.Hist_catalog.counters cat' in
-  Alcotest.(check bool) "second estimate hits" true
-    (c2.Xmlest.Hist_catalog.hits > c1.Xmlest.Hist_catalog.hits);
-  check (Alcotest.float 0.0) "same estimate" warm again
+(* The fused pH-join kernel reads cells straight from each histogram's
+   vector, which for a mapped store is a slice of the file mapping at a
+   non-zero offset: check it against brute force and Fig. 9's form there,
+   for every ordered pair of base histograms, at a coarse and a fine grid. *)
+let test_kernel_on_mapped_histograms () =
+  List.iter
+    (fun grid_size ->
+      let _, s = staff_summary ~grid_size () in
+      let s' = reopened s in
+      let preds = Xmlest.Summary.predicates s' in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun d ->
+              let anc = Xmlest.Summary.histogram s' a
+              and desc = Xmlest.Summary.histogram s' d in
+              match Test_util.kernel_failures ~anc ~desc with
+              | [] -> ()
+              | f :: _ ->
+                Alcotest.failf "g=%d %s//%s: %s" grid_size
+                  (Xmlest.Predicate.name a) (Xmlest.Predicate.name d) f)
+            preds)
+        preds)
+    [ 10; 50 ]
 
 let test_streamed_build_saved_to_store () =
   (* the full out-of-core pipeline: XML file -> streamed build -> .xsum ->
@@ -969,24 +1028,6 @@ let test_repl_hist_command () =
   Alcotest.(check bool) "unknown tag errors" true
     (let out = run "hist nonexistent" in
      String.length out >= 5 && String.sub out 0 5 = "error")
-
-let test_repl_catalog_commands () =
-  let state = Xmlest.Repl.create () in
-  let run cmd = Xmlest.Repl.execute state cmd in
-  Alcotest.(check bool) "needs summary" true (contains "error" (run "catalog stats"));
-  ignore (run "gen staff");
-  ignore (run "summarize");
-  (* the ':' prefix used by interactive sessions is accepted *)
-  let stats = run ":catalog stats" in
-  Alcotest.(check bool) "histogram count shown" true (contains "histograms" stats);
-  Alcotest.(check bool) "counters shown" true (contains "hits" stats);
-  ignore (run "estimate //manager//employee");
-  let path = Filename.temp_file "xmlest_repl" ".catalog" in
-  Alcotest.(check bool) "save" true (contains "saved catalog" (run ("catalog save " ^ path)));
-  Alcotest.(check bool) "reset" true (contains "reset" (run "catalog reset"));
-  Alcotest.(check bool) "load adopts" true (contains "adopted" (run ("catalog load " ^ path)));
-  Alcotest.(check bool) "usage error" true (contains "error" (run "catalog"));
-  Sys.remove path
 
 let test_repl_equidepth_summarize () =
   let state = Xmlest.Repl.create () in
@@ -1157,6 +1198,8 @@ let () =
           Alcotest.test_case "streamed file build and stats" `Quick
             test_stream_build_file_and_stats;
           Alcotest.test_case "build stats" `Quick test_build_stats;
+          Alcotest.test_case "build_time is wall-clock" `Quick
+            test_build_time_is_wall_clock;
           Alcotest.test_case "bench smoke" `Quick test_construction_bench_smoke;
         ] );
       ( "persistence",
@@ -1165,6 +1208,8 @@ let () =
           Alcotest.test_case "file roundtrip" `Quick test_save_load_file;
           Alcotest.test_case "equidepth roundtrip" `Quick test_save_load_equidepth;
           Alcotest.test_case "rejects garbage" `Quick test_load_rejects_garbage;
+          Alcotest.test_case "loader is total on bad input" `Quick
+            test_load_total_on_bad_cells;
           Alcotest.test_case "unknown predicate raises" `Quick
             test_loaded_summary_unknown_predicate;
         ] );
@@ -1175,8 +1220,8 @@ let () =
             test_store_roundtrip_datasets;
           Alcotest.test_case "rejects garbage and truncation" `Quick
             test_store_open_rejects_garbage;
-          Alcotest.test_case "reopen starts a cold catalog" `Quick
-            test_store_reopen_cold_catalog;
+          Alcotest.test_case "fused kernel on mapped histograms" `Quick
+            test_kernel_on_mapped_histograms;
           Alcotest.test_case "streamed build to store pipeline" `Quick
             test_streamed_build_saved_to_store;
         ] );
@@ -1195,7 +1240,6 @@ let () =
           Alcotest.test_case "equidepth summarize" `Quick test_repl_equidepth_summarize;
           Alcotest.test_case "set domains" `Quick test_repl_set_domains;
           Alcotest.test_case "hist command" `Quick test_repl_hist_command;
-          Alcotest.test_case "catalog commands" `Quick test_repl_catalog_commands;
         ] );
       ( "static_analysis",
         [

@@ -163,39 +163,55 @@ let prop_sparse_equals_dense =
       in
       both Xmlest.Ph_join.Ancestor_based && both Xmlest.Ph_join.Descendant_based)
 
-(* Satellite property: the three pH-join evaluation paths — dense passes,
-   sparse Fenwick evaluation, and the memoized-coefficient fast path — must
-   agree on random histograms, in both directions. *)
-let prop_cached_equals_dense_equals_sparse =
-  QCheck.Test.make ~count:200
-    ~name:"estimate_with (cached coefficients) = estimate = estimate_sparse"
-    QCheck.(pair (Test_util.doc_two_tags_arbitrary ~max_nodes:60 ()) (int_range 1 16))
-    (fun ((_, doc, t1, t2), size) ->
-      let anc = hist doc size (tagp t1) and desc = hist doc size (tagp t2) in
-      let agree direction =
-        let coefs =
-          match direction with
-          | Xmlest.Ph_join.Ancestor_based ->
-            Xmlest.Ph_join.descendant_coefficients desc
-          | Xmlest.Ph_join.Descendant_based ->
-            Xmlest.Ph_join.ancestor_coefficients anc
-        in
-        let dense = Xmlest.Ph_join.estimate ~direction ~anc ~desc () in
-        let cached = Xmlest.Ph_join.estimate_with ~direction ~coefs ~anc ~desc () in
-        let sparse = Xmlest.Ph_join.estimate_sparse ~direction ~anc ~desc () in
-        (* same coefficients, same iteration order: bit-identical *)
-        cached = dense && Test_util.float_close ~tolerance:1e-9 dense sparse
+(* Random upper-triangular histogram on a g x g grid.  Shapes: sparse
+   integer counts (what documents produce), dense fractional weights
+   (what twig composition feeds the kernel), and all-diagonal. *)
+let random_hist ~size ~shape ~seed =
+  let rng = Xmlest.Splitmix.create seed in
+  let grid = Xmlest.Grid.create ~size ~max_pos:((size * 10) - 1) in
+  let h = Xmlest.Position_histogram.create_empty grid in
+  for i = 0 to size - 1 do
+    for j = i to size - 1 do
+      let v =
+        match shape with
+        | 0 ->
+          if Xmlest.Splitmix.int rng 3 = 0 then
+            float_of_int (1 + Xmlest.Splitmix.int rng 20)
+          else 0.0
+        | 1 -> float_of_int (Xmlest.Splitmix.int rng 1000) /. 7.0
+        | _ -> if Int.equal i j then float_of_int (1 + Xmlest.Splitmix.int rng 9) else 0.0
       in
-      agree Xmlest.Ph_join.Ancestor_based && agree Xmlest.Ph_join.Descendant_based)
+      if not (Float.equal v 0.0) then Xmlest.Position_histogram.set h ~i ~j v
+    done
+  done;
+  h
 
-let test_estimate_with_checks_length () =
+(* The fused kernel against brute force (Σ cell_pair_weight × counts) and
+   against Fig. 9's precomputed-coefficient form, per cell within
+   Test_util.kernel_tolerance, both directions; sizes from the g = 1
+   degenerate grid up, every pair of shapes. *)
+let prop_kernel_matches_brute_force =
+  QCheck.Test.make ~count:300
+    ~name:"fused kernel = brute force = Fig. 9 form (1e-12 relative)"
+    QCheck.(
+      quad (int_range 1 12) (pair (int_range 0 2) (int_range 0 2))
+        (int_range 0 100_000) (int_range 0 100_000))
+    (fun (size, (shape_a, shape_d), seed_a, seed_d) ->
+      let anc = random_hist ~size ~shape:shape_a ~seed:seed_a in
+      let desc = random_hist ~size ~shape:shape_d ~seed:seed_d in
+      match Test_util.kernel_failures ~anc ~desc with
+      | [] -> true
+      | failures -> QCheck.Test.fail_report (String.concat "\n" failures))
+
+let test_estimate_cells_with_checks_length () =
   let doc = Test_util.fig1_doc () in
   let anc = hist doc 4 (tagp "faculty") and desc = hist doc 4 (tagp "TA") in
   Alcotest.check_raises "wrong coefficient array length"
     (Invalid_argument
        "Ph_join.estimate_cells_with: 3 coefficients for a 4x4 grid") (fun () ->
       ignore
-        (Xmlest.Ph_join.estimate_with ~coefs:(Array.make 3 0.0) ~anc ~desc ()))
+        (Xmlest.Ph_join.estimate_cells_with ~coefs:(Array.make 3 0.0) ~anc ~desc
+           ()))
 
 let test_sparse_on_real_data () =
   let doc = Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.02) in
@@ -722,9 +738,9 @@ let () =
           qcheck prop_ph_join_below_naive;
           qcheck prop_cell_pair_weights_sum_to_estimate;
           qcheck prop_sparse_equals_dense;
-          qcheck prop_cached_equals_dense_equals_sparse;
-          Alcotest.test_case "estimate_with validates array length" `Quick
-            test_estimate_with_checks_length;
+          qcheck prop_kernel_matches_brute_force;
+          Alcotest.test_case "estimate_cells_with validates array length" `Quick
+            test_estimate_cells_with_checks_length;
           Alcotest.test_case "sparse = dense on DBLP sample" `Quick
             test_sparse_on_real_data;
         ] );

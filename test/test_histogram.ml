@@ -282,8 +282,7 @@ let test_hist_rejects_below_diagonal () =
       Xmlest.Position_histogram.add h ~i:0 ~j:5 1.0);
   (* rejected writes must leave the histogram untouched *)
   check (Alcotest.float 1e-9) "total unchanged" 0.0
-    (Xmlest.Position_histogram.total h);
-  check Alcotest.int "version unchanged" 0 (Xmlest.Position_histogram.version h)
+    (Xmlest.Position_histogram.total h)
 
 let prop_total_equals_nonzero_sum =
   (* The triangle invariant at work: after any sequence of legal set/add
@@ -306,15 +305,24 @@ let prop_total_equals_nonzero_sum =
       Xmlest.Position_histogram.iter_nonzero h (fun ~i:_ ~j:_ v -> sum := !sum +. v);
       Test_util.float_close ~tolerance:1e-9 !sum (Xmlest.Position_histogram.total h))
 
-let test_hist_version_counter () =
+let test_hist_cells_view () =
+  (* [cells] is the live row-major vector: index (i * g + j), the same
+     cell [get] reads, and writes through [set]/[add] show up in it. *)
   let g = Xmlest.Grid.create ~size:4 ~max_pos:39 in
   let h = Xmlest.Position_histogram.create_empty g in
-  check Alcotest.int "fresh" 0 (Xmlest.Position_histogram.version h);
+  let cells = Xmlest.Position_histogram.cells h in
+  check Alcotest.int "g*g cells" 16 (Xmlest.F64.length cells);
   Xmlest.Position_histogram.set h ~i:0 ~j:1 2.0;
-  Xmlest.Position_histogram.add h ~i:1 ~j:3 1.0;
-  check Alcotest.int "two mutations" 2 (Xmlest.Position_histogram.version h);
-  check Alcotest.int "copy starts fresh" 0
-    (Xmlest.Position_histogram.version (Xmlest.Position_histogram.copy h))
+  Xmlest.Position_histogram.add h ~i:1 ~j:3 1.5;
+  check (Alcotest.float 0.0) "(0,1) at 1" 2.0 cells.{1};
+  check (Alcotest.float 0.0) "(1,3) at 7" 1.5 cells.{7};
+  for i = 0 to 3 do
+    for j = i to 3 do
+      check (Alcotest.float 0.0) "cells = get"
+        (Xmlest.Position_histogram.get h ~i ~j)
+        cells.{(i * 4) + j}
+    done
+  done
 
 let test_heatmap_renders () =
   let doc = Xmlest.Document.of_elem (Xmlest.Staff_gen.generate ()) in
@@ -457,170 +465,6 @@ let prop_coverage_bounded =
         done
       done;
       !ok)
-
-(* --- Histogram catalog ------------------------------------------------------- *)
-
-(* Pure catalog behavior is tested with stub compute functions that count
-   invocations; the real Ph_join wiring is exercised in test_estimate and
-   test_core. *)
-let stub_catalog () =
-  let calls = ref 0 in
-  let compute tag h =
-    incr calls;
-    let g = (Xmlest.Position_histogram.grid h).Xmlest.Grid.size in
-    Array.make (g * g) (tag +. Xmlest.Position_histogram.total h)
-  in
-  ( Xmlest.Hist_catalog.create ~compute_desc:(compute 0.5) ~compute_anc:(compute 0.25) (),
-    calls )
-
-let sample_hist ?(v = 3.0) g =
-  let h = Xmlest.Position_histogram.create_empty g in
-  Xmlest.Position_histogram.set h ~i:0 ~j:1 v;
-  Xmlest.Position_histogram.set h ~i:1 ~j:1 1.0;
-  h
-
-let test_catalog_memoizes () =
-  let cat, calls = stub_catalog () in
-  let g = Xmlest.Grid.create ~size:4 ~max_pos:39 in
-  let h = sample_hist g in
-  Xmlest.Hist_catalog.add cat ~key:"a" h;
-  check Alcotest.int "no compute yet" 0 !calls;
-  Alcotest.(check bool) "absent key" true
-    (Xmlest.Hist_catalog.descendant_coefficients cat "missing" = None);
-  let c1 = Xmlest.Hist_catalog.descendant_coefficients cat "a" in
-  let c2 = Xmlest.Hist_catalog.descendant_coefficients cat "a" in
-  check Alcotest.int "computed once" 1 !calls;
-  (match (c1, c2) with
-  | Some a1, Some a2 ->
-    Alcotest.(check bool) "same cached array" true (a1 == a2);
-    check (Alcotest.float 1e-9) "desc values" 4.5 a1.(0)
-  | _ -> Alcotest.fail "expected coefficients");
-  (match Xmlest.Hist_catalog.ancestor_coefficients cat "a" with
-  | Some a -> check (Alcotest.float 1e-9) "anc values" 4.25 a.(0)
-  | None -> Alcotest.fail "expected ancestor coefficients");
-  check Alcotest.int "anc cached separately" 2 !calls;
-  let c = Xmlest.Hist_catalog.counters cat in
-  check Alcotest.int "hits" 1 c.Xmlest.Hist_catalog.hits;
-  check Alcotest.int "misses (1 per kind)" 2 c.Xmlest.Hist_catalog.misses;
-  check Alcotest.int "no recomputes" 0 c.Xmlest.Hist_catalog.recomputes;
-  check Alcotest.int "two fresh arrays" 2 (Xmlest.Hist_catalog.cached_arrays cat)
-
-let test_catalog_invalidates_on_mutation () =
-  let cat, calls = stub_catalog () in
-  let g = Xmlest.Grid.create ~size:4 ~max_pos:39 in
-  let h = sample_hist g in
-  Xmlest.Hist_catalog.add cat ~key:"a" h;
-  ignore (Xmlest.Hist_catalog.descendant_coefficients cat "a");
-  Xmlest.Position_histogram.add h ~i:0 ~j:2 1.0;
-  check Alcotest.int "stale arrays dropped from count" 0
-    (Xmlest.Hist_catalog.cached_arrays cat);
-  (match Xmlest.Hist_catalog.descendant_coefficients cat "a" with
-  | Some a ->
-    check (Alcotest.float 1e-9) "recomputed from mutated histogram" 5.5 a.(0)
-  | None -> Alcotest.fail "expected coefficients");
-  check Alcotest.int "computed twice" 2 !calls;
-  let c = Xmlest.Hist_catalog.counters cat in
-  check Alcotest.int "one recompute" 1 c.Xmlest.Hist_catalog.recomputes;
-  (* fresh again after the recompute *)
-  ignore (Xmlest.Hist_catalog.descendant_coefficients cat "a");
-  check Alcotest.int "no further compute" 2 !calls
-
-let test_catalog_grid_discipline () =
-  let cat, _ = stub_catalog () in
-  let g = Xmlest.Grid.create ~size:4 ~max_pos:39 in
-  Xmlest.Hist_catalog.add cat ~key:"a" (sample_hist g);
-  let other = Xmlest.Grid.create ~size:5 ~max_pos:39 in
-  Alcotest.check_raises "incompatible grid rejected"
-    (Invalid_argument
-       "Catalog.add: histogram \"b\" uses a grid incompatible with the \
-        catalog's") (fun () ->
-      Xmlest.Hist_catalog.add cat ~key:"b"
-        (Xmlest.Position_histogram.create_empty other));
-  check Alcotest.int "still one entry" 1 (Xmlest.Hist_catalog.length cat);
-  Alcotest.(check (list string)) "keys" [ "a" ] (Xmlest.Hist_catalog.keys cat)
-
-let test_catalog_save_load_roundtrip () =
-  let cat, _ = stub_catalog () in
-  let g = Xmlest.Grid.create ~size:4 ~max_pos:39 in
-  (* Awkward floats: fractions that don't render exactly in decimal. *)
-  Xmlest.Hist_catalog.add cat ~key:"a" (sample_hist ~v:(1.0 /. 3.0) g);
-  Xmlest.Hist_catalog.add cat ~key:"b" (sample_hist ~v:(2.0 /. 7.0) g);
-  ignore (Xmlest.Hist_catalog.descendant_coefficients cat "a");
-  ignore (Xmlest.Hist_catalog.ancestor_coefficients cat "a");
-  let path = Filename.temp_file "xmlest_test" ".catalog" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Xmlest.Hist_catalog.save cat path;
-      let calls = ref 0 in
-      let compute h =
-        incr calls;
-        let g = (Xmlest.Position_histogram.grid h).Xmlest.Grid.size in
-        Array.make (g * g) 0.0
-      in
-      match
-        Xmlest.Hist_catalog.load ~compute_desc:compute ~compute_anc:compute path
-      with
-      | Error e -> Alcotest.failf "load failed: %s" e
-      | Ok loaded ->
-        Alcotest.(check (list string)) "keys survive" [ "a"; "b" ]
-          (Xmlest.Hist_catalog.keys loaded);
-        List.iter
-          (fun key ->
-            match
-              (Xmlest.Hist_catalog.find cat key, Xmlest.Hist_catalog.find loaded key)
-            with
-            | Some a, Some b ->
-              Alcotest.(check bool)
-                (key ^ " histogram bit-exact") true
-                (Xmlest.Position_histogram.equal a b)
-            | _ -> Alcotest.fail "missing histogram after load")
-          [ "a"; "b" ];
-        (* a's persisted arrays are served without recomputation... *)
-        let bits arr = Array.map Int64.bits_of_float arr in
-        (match
-           ( Xmlest.Hist_catalog.descendant_coefficients cat "a",
-             Xmlest.Hist_catalog.descendant_coefficients loaded "a" )
-         with
-        | Some a, Some b ->
-          Alcotest.(check (array int64)) "coefficients bit-exact" (bits a) (bits b)
-        | _ -> Alcotest.fail "missing coefficients after load");
-        check Alcotest.int "persisted arrays not recomputed" 0 !calls;
-        (* ...while b's were never computed, so they are not resurrected *)
-        ignore (Xmlest.Hist_catalog.descendant_coefficients loaded "b");
-        check Alcotest.int "unsaved arrays recomputed" 1 !calls)
-
-let test_catalog_load_rejects_garbage () =
-  let path = Filename.temp_file "xmlest_test" ".catalog" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "definitely not a catalog";
-      close_out oc;
-      let compute _ = [||] in
-      match
-        Xmlest.Hist_catalog.load ~compute_desc:compute ~compute_anc:compute path
-      with
-      | Ok _ -> Alcotest.fail "garbage accepted"
-      | Error _ -> ())
-
-let test_catalog_absorb () =
-  let g = Xmlest.Grid.create ~size:4 ~max_pos:39 in
-  let cat, calls = stub_catalog () in
-  Xmlest.Hist_catalog.add cat ~key:"same" (sample_hist g);
-  Xmlest.Hist_catalog.add cat ~key:"differs" (sample_hist ~v:9.0 g);
-  let from, _ = stub_catalog () in
-  Xmlest.Hist_catalog.add from ~key:"same" (sample_hist g);
-  Xmlest.Hist_catalog.add from ~key:"differs" (sample_hist ~v:7.0 g);
-  ignore (Xmlest.Hist_catalog.descendant_coefficients from "same");
-  ignore (Xmlest.Hist_catalog.descendant_coefficients from "differs");
-  let adopted = Xmlest.Hist_catalog.absorb cat ~from in
-  check Alcotest.int "only the identical histogram adopts" 1 adopted;
-  ignore (Xmlest.Hist_catalog.descendant_coefficients cat "same");
-  check Alcotest.int "adopted key serves without compute" 0 !calls;
-  ignore (Xmlest.Hist_catalog.descendant_coefficients cat "differs");
-  check Alcotest.int "mismatched key recomputes" 1 !calls
 
 (* --- Streaming builders ------------------------------------------------- *)
 
@@ -791,23 +635,11 @@ let () =
           Alcotest.test_case "set and get" `Quick test_hist_set_get;
           Alcotest.test_case "rejects below-diagonal writes" `Quick
             test_hist_rejects_below_diagonal;
-          Alcotest.test_case "version counter" `Quick test_hist_version_counter;
+          Alcotest.test_case "cells view" `Quick test_hist_cells_view;
           qcheck prop_lemma1;
           qcheck prop_total_equals_nonzero_sum;
           Alcotest.test_case "heatmap renders" `Quick test_heatmap_renders;
           Alcotest.test_case "heatmap with zero total" `Quick test_heatmap_zero_total;
-        ] );
-      ( "catalog",
-        [
-          Alcotest.test_case "memoizes coefficients" `Quick test_catalog_memoizes;
-          Alcotest.test_case "invalidates on mutation" `Quick
-            test_catalog_invalidates_on_mutation;
-          Alcotest.test_case "grid discipline" `Quick test_catalog_grid_discipline;
-          Alcotest.test_case "save/load round trip" `Quick
-            test_catalog_save_load_roundtrip;
-          Alcotest.test_case "load rejects garbage" `Quick
-            test_catalog_load_rejects_garbage;
-          Alcotest.test_case "absorb" `Quick test_catalog_absorb;
         ] );
       ( "coverage",
         [

@@ -1,7 +1,7 @@
 (* Maintenance subsystem tests: document edit helpers, exact-vs-rebuild
    bit-identity for delete/append/replace streams, the interior-insert
-   drift bound, catalog counter behavior under maintenance, and the
-   update line format. *)
+   drift bound, estimates after maintenance, and the update line
+   format. *)
 
 open Xmlest_core
 open Xmlest_test_util
@@ -441,86 +441,86 @@ let test_threshold_policy_triggers () =
   Alcotest.(check bool) "threshold rebuild happened" true
     (Xmlest.Summary.staleness s = None)
 
-(* --- Catalog behavior under maintenance -------------------------------- *)
+(* --- Estimates under maintenance ----------------------------------- *)
 
-let catalog_doc () =
-  D.of_elem
-    (E.make "r"
-       ~children:
-         [ E.make "a";
-           E.make "a" ~children:[ E.make "b" ];
-           E.make "b";
-           E.make "a" ~children:[ E.make "b" ] ])
+(* Nothing derived from a position histogram outlives an edit: the
+   pH-join kernel reads the cells on every call, and histograms built on
+   demand are dropped by [apply].  Pinned at estimate level on the overlap
+   path (coverage off, so every edge is a pH-join): after an exact update
+   the maintained summary estimates exactly like a fresh same-grid build,
+   even when it was estimated just before the edit. *)
 
-let test_catalog_recomputes_after_update () =
-  let doc = catalog_doc () in
-  let s = Xmlest.Summary.build ~grid_size:4 doc [ tagp "a"; tagp "b" ] in
-  let pat = Xmlest.Pattern_parser.pattern_exn "//a//b" in
-  let cat = Xmlest.Summary.hist_catalog s in
-  (* Force coefficient memoization for both predicates (an estimate may
-     route through the no-overlap path and never touch coefficients). *)
-  let coefs key = Xmlest.Hist_catalog.descendant_coefficients cat key in
-  ignore (coefs "tag=a");
-  ignore (coefs "tag=a");
-  ignore (coefs "tag=b");
-  ignore (coefs "tag=b");
-  let c0 = Xmlest.Hist_catalog.counters cat in
-  Alcotest.(check bool) "warm lookups hit" true (c0.Xmlest.Hist_catalog.hits > 0);
-  (* Delete the leaf <a> (node 1): only a's histogram is touched. *)
-  Xmlest.Summary.apply ~policy:`Never s [ U.Delete { node = 1 } ];
-  ignore (coefs "tag=a");
-  let c1 = Xmlest.Hist_catalog.counters cat in
-  Alcotest.(check bool) "stale coefficients recomputed, not hit" true
-    (c1.Xmlest.Hist_catalog.recomputes > c0.Xmlest.Hist_catalog.recomputes);
-  check Alcotest.int "recompute is not a hit" c0.Xmlest.Hist_catalog.hits
-    c1.Xmlest.Hist_catalog.hits;
-  ignore (coefs "tag=b");
-  let c2 = Xmlest.Hist_catalog.counters cat in
-  Alcotest.(check bool) "untouched histogram still hits" true
-    (c2.Xmlest.Hist_catalog.hits > c1.Xmlest.Hist_catalog.hits);
-  (* And the estimate now reflects the smaller document exactly. *)
-  let doc' = D.delete_subtree doc 1 in
-  let fresh =
-    Xmlest.Summary.build ~grid:(Xmlest.Summary.grid s) doc' [ tagp "a"; tagp "b" ]
+let overlap_options direction =
+  { Xmlest.Twig_estimator.default_options with use_no_overlap = false; direction }
+
+let estimates_equal a b pats =
+  List.for_all
+    (fun direction ->
+      let options = overlap_options direction in
+      List.for_all
+        (fun p ->
+          Float.equal
+            (Xmlest.Summary.estimate ~options a p)
+            (Xmlest.Summary.estimate ~options b p))
+        pats)
+    [ Xmlest.Ph_join.Ancestor_based; Xmlest.Ph_join.Descendant_based ]
+
+let test_estimate_after_delete () =
+  let doc =
+    D.of_elem
+      (E.make "r"
+         ~children:
+           [ E.make "a";
+             E.make "a" ~children:[ E.make "b" ];
+             E.make "b";
+             E.make "a" ~children:[ E.make "b" ] ])
   in
-  check (Alcotest.float 1e-9) "estimate matches rebuild"
-    (Xmlest.Summary.estimate fresh pat)
-    (Xmlest.Summary.estimate s pat)
+  let s = Xmlest.Summary.build ~grid_size:4 doc [ tagp "a"; tagp "b" ] in
+  let pats = [ Xmlest.Pattern_parser.pattern_exn "//a//b" ] in
+  let estimate () =
+    Xmlest.Summary.estimate
+      ~options:(overlap_options Xmlest.Ph_join.Ancestor_based)
+      s (List.hd pats)
+  in
+  let before = estimate () in
+  (* Delete the <b> under the second <a> (node 3): only b's histogram
+     changes, and one a//b pair goes. *)
+  Xmlest.Summary.apply ~policy:`Never s [ U.Delete { node = 3 } ];
+  let fresh =
+    Xmlest.Summary.build ~grid:(Xmlest.Summary.grid s) (D.delete_subtree doc 3)
+      [ tagp "a"; tagp "b" ]
+  in
+  Alcotest.(check bool) "estimate = fresh build" true (estimates_equal s fresh pats);
+  Alcotest.(check bool) "and the edit moved it" true (estimate () < before)
 
-let counters_monotone (a : Xmlest.Hist_catalog.counters)
-    (b : Xmlest.Hist_catalog.counters) =
-  b.Xmlest.Hist_catalog.hits >= a.Xmlest.Hist_catalog.hits
-  && b.Xmlest.Hist_catalog.misses >= a.Xmlest.Hist_catalog.misses
-  && b.Xmlest.Hist_catalog.recomputes >= a.Xmlest.Hist_catalog.recomputes
+(* [d] is not a base predicate: its histogram is built on demand. *)
+let maintained_patterns () =
+  List.map Xmlest.Pattern_parser.pattern_exn
+    [ "//a//b"; "//b//a"; "//a[.//b]//c"; "//c//c"; "//a//b//c"; "//d//a"; "//a//d" ]
 
-let prop_catalog_counters_monotone =
-  QCheck.Test.make ~name:"catalog counters stay monotone under maintenance"
-    ~count:60
-    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:30 ()) (int_bound 10000))
+let prop_overlap_estimates_after_exact_stream =
+  QCheck.Test.make ~count:100
+    ~name:"overlap estimates after exact stream = fresh build"
+    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:40 ()) (int_bound 10000))
     (fun (elem, seed) ->
       let doc = D.of_elem elem in
       let s = summary_of doc in
-      let pat = Xmlest.Pattern_parser.pattern_exn "//a//b" in
+      let pats = maintained_patterns () in
       let rng = Xmlest.Splitmix.create seed in
-      let prev = ref (Xmlest.Hist_catalog.counters (Xmlest.Summary.hist_catalog s)) in
       let ok = ref true in
-      for _ = 1 to 6 do
-        (match Xmlest.Splitmix.int rng 3 with
-        | 0 -> ignore (Xmlest.Summary.estimate s pat)
-        | 1 ->
-          let d =
-            match Xmlest.Summary.document s with Some d -> d | None -> doc
+      let cur = ref doc in
+      for _ = 1 to 4 do
+        (* estimate first, so every cache the estimator has is warm *)
+        ignore (estimates_equal s s pats);
+        match mixed_pick rng !cur with
+        | None -> ()
+        | Some u ->
+          Xmlest.Summary.apply ~policy:`Never s [ u ];
+          cur := U.apply_doc !cur u;
+          let fresh =
+            Xmlest.Summary.build ~grid:(Xmlest.Summary.grid s) !cur (base_preds ())
           in
-          Xmlest.Summary.apply ~policy:`Never s [ random_append rng d ]
-        | _ ->
-          let d =
-            match Xmlest.Summary.document s with Some d -> d | None -> doc
-          in
-          if D.size d > 1 then
-            Xmlest.Summary.apply ~policy:`Never s [ random_delete rng d ]);
-        let cur = Xmlest.Hist_catalog.counters (Xmlest.Summary.hist_catalog s) in
-        if not (counters_monotone !prev cur) then ok := false;
-        prev := cur
+          if not (estimates_equal s fresh pats) then ok := false
       done;
       !ok)
 
@@ -628,11 +628,11 @@ let () =
           Alcotest.test_case "threshold triggers rebuild" `Quick
             test_threshold_policy_triggers;
         ] );
-      ( "catalog",
+      ( "estimates",
         [
-          Alcotest.test_case "update recomputes coefficients" `Quick
-            test_catalog_recomputes_after_update;
-          qcheck prop_catalog_counters_monotone;
+          Alcotest.test_case "estimate after delete = rebuild" `Quick
+            test_estimate_after_delete;
+          qcheck prop_overlap_estimates_after_exact_stream;
         ] );
       ( "update-format",
         [

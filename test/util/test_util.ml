@@ -167,3 +167,77 @@ let contains_substring haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec at k = k + nn <= nh && (String.sub haystack k nn = needle || at (k + 1)) in
   at 0
+
+(* --- pH-join kernel oracle ---------------------------------------------- *)
+
+(* Relative per-cell tolerance between the fused pH-join kernel and the
+   references it is checked against.  They add the same non-negative
+   terms in different orders (and the kernel subtracts the corner terms
+   from a band sum instead of adding the rest), so they agree to a few
+   ulps, not bit for bit. *)
+let kernel_tolerance = 1e-12
+
+let rel_close a b =
+  Float.abs (a -. b) <= kernel_tolerance *. Float.max (Float.abs a) (Float.abs b)
+
+(* Brute-force per-cell pH-join: every (ancestor cell, descendant cell)
+   pair weighted by [cell_pair_weight] and attributed to the ancestor's
+   cell (ancestor-based) or the descendant's (descendant-based). *)
+let brute_force_cells ~direction ~anc ~desc =
+  let g = (Xmlest.Position_histogram.grid anc).Xmlest.Grid.size in
+  let out = Array.make (g * g) 0.0 in
+  Xmlest.Position_histogram.iter_nonzero anc (fun ~i ~j a ->
+      Xmlest.Position_histogram.iter_nonzero desc (fun ~i:k ~j:l d ->
+          let w =
+            Xmlest.Ph_join.cell_pair_weight ~direction ~anc:(i, j) ~desc:(k, l) ()
+          in
+          let cell =
+            match direction with
+            | Xmlest.Ph_join.Ancestor_based -> (i * g) + j
+            | Xmlest.Ph_join.Descendant_based -> (k * g) + l
+          in
+          out.(cell) <- out.(cell) +. (a *. d *. w)));
+  out
+
+(* Every check of the fused kernel on one histogram pair, in both
+   directions: each cell finite and >= 0, within [kernel_tolerance] of
+   brute force and of Fig. 9's precomputed-coefficient form, and the cell
+   histogram's total equal to [estimate] bit for bit.  Returns the
+   failures; empty when all hold. *)
+let kernel_failures ~anc ~desc =
+  let g = (Xmlest.Position_histogram.grid anc).Xmlest.Grid.size in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  List.iter
+    (fun (direction, dir_name, coefs) ->
+      let cells = Xmlest.Ph_join.estimate_cells ~direction ~anc ~desc () in
+      let reference =
+        Xmlest.Ph_join.estimate_cells_with ~direction ~coefs ~anc ~desc ()
+      in
+      let brute = brute_force_cells ~direction ~anc ~desc in
+      for i = 0 to g - 1 do
+        for j = i to g - 1 do
+          let v = Xmlest.Position_histogram.get cells ~i ~j in
+          if not (Float.is_finite v && v >= 0.0) then
+            fail "%s (%d,%d): %h not finite and >= 0" dir_name i j v;
+          if not (rel_close v brute.((i * g) + j)) then
+            fail "%s (%d,%d): kernel %h, brute force %h" dir_name i j v
+              brute.((i * g) + j);
+          let r = Xmlest.Position_histogram.get reference ~i ~j in
+          if not (rel_close v r) then
+            fail "%s (%d,%d): kernel %h, Fig. 9 form %h" dir_name i j v r
+        done
+      done;
+      let total = Xmlest.Position_histogram.total cells in
+      let est = Xmlest.Ph_join.estimate ~direction ~anc ~desc () in
+      if not (Float.equal total est) then
+        fail "%s: cell total %h, estimate %h" dir_name total est)
+    [
+      ( Xmlest.Ph_join.Ancestor_based,
+        "ancestor-based",
+        Xmlest.Ph_join.descendant_coefficients desc );
+      ( Xmlest.Ph_join.Descendant_based,
+        "descendant-based",
+        Xmlest.Ph_join.ancestor_coefficients anc );
+    ];
+  List.rev !failures
