@@ -192,7 +192,7 @@ let random_hist ~size ~shape ~seed =
    degenerate grid up, every pair of shapes. *)
 let prop_kernel_matches_brute_force =
   QCheck.Test.make ~count:300
-    ~name:"fused kernel = brute force = Fig. 9 form (1e-12 relative)"
+    ~name:"fused kernel = brute force = precomputed-coefficient form"
     QCheck.(
       quad (int_range 1 12) (pair (int_range 0 2) (int_range 0 2))
         (int_range 0 100_000) (int_range 0 100_000))
