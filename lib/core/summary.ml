@@ -508,7 +508,7 @@ let build = build_fused
    [Document.t]: memory stays O(element depth + summary size) for a
    document of any length.  A node's predicate match status is decidable
    only at its close event (its character data is complete only then), so
-   everything downstream runs in end-position (post-order) order — the
+   pass A writes the nodes in end-position (post-order) order; the
    builders are all order-insensitive integer accumulators, so the
    finished histograms are bit-identical to the in-memory build's
    pre-order feeds (the differential QCheck suite pins [to_string]
@@ -517,70 +517,49 @@ let build = build_fused
    Pass A parses once, evaluates the unique predicates per close event,
    and spills one fixed-size record per node — start, end, level, match
    bitmask — to a temp file in post-order.  The grid is then derived
-   (equi-depth replays the spill once more for the quantile positions),
+   (equi-depth scans the spill once more for the quantile positions),
    and pass B replays the spill through the shared fused builders.
 
    Coverage needs each covered node's *nearest* strict P-ancestor, which
    is unknowable at the node's own close (outer ancestors close later).
-   The replay keeps, per coverage-active predicate, a queue of closed
-   nodes not yet claimed by any P-ancestor, segmented by a shared stack
-   of subtree frames: when a P-node closes, everything pending inside its
-   subtree is exactly the set of nodes whose nearest P-ancestor it is
-   (nearer P-nodes closed earlier and already claimed theirs) and is
-   flushed to the builder in bulk.  Segments longer than one grid of
-   cells are compacted cell-wise (exact integer sums), bounding the queue
-   by O(depth * cells) per predicate. *)
+   Pass B therefore reads the spill backwards: reversed post-order visits
+   every ancestor before its descendants, so per predicate one stack of
+   open set members (start position and cell) answers it directly — pop
+   the entries that do not contain the node (their start lies after the
+   node's), and the top is the nearest set ancestor.  The stacks hold
+   ancestors only, so pass B runs in O(depth) memory per predicate. *)
 
 let mask_bits = 62 (* mask bits per spill word; keeps every field an int *)
 
-type pending = {
-  mutable q_cell : int array;
-  mutable q_count : float array;
-  mutable q_len : int;
-}
+(* Spill I/O in blocks of whole records: pass A fills a block in place
+   and writes it out when full; the readers fetch blocks from the end of
+   the file backwards and hand each record to [f] as (block, offset), so
+   no record is copied or decoded into a tuple. *)
+let spill_block_records = 2048
 
-let q_make () = { q_cell = Array.make 16 0; q_count = Array.make 16 0.0; q_len = 0 }
+let spill_get blk off k = Int64.to_int (Bytes.get_int64_le blk (off + (8 * k)))
 
-let q_push q cell =
-  if Int.equal q.q_len (Array.length q.q_cell) then begin
-    let cells = Array.make (2 * q.q_len) 0 in
-    Array.blit q.q_cell 0 cells 0 q.q_len;
-    q.q_cell <- cells;
-    let counts = Array.make (2 * q.q_len) 0.0 in
-    Array.blit q.q_count 0 counts 0 q.q_len;
-    q.q_count <- counts
-  end;
-  q.q_cell.(q.q_len) <- cell;
-  q.q_count.(q.q_len) <- 1.0;
-  q.q_len <- q.q_len + 1
+let iter_spill_rev path ~rec_size ~n f =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+  let blk = Bytes.create (spill_block_records * rec_size) in
+  let hi = ref n in
+  while !hi > 0 do
+    let lo = Int.max 0 (!hi - spill_block_records) in
+    seek_in ic (lo * rec_size);
+    really_input ic blk 0 ((!hi - lo) * rec_size);
+    for k = !hi - lo - 1 downto 0 do
+      f blk (k * rec_size)
+    done;
+    hi := lo
+  done
 
-let q_flush q ~base ~covering b =
-  for k = base to q.q_len - 1 do
-    Coverage_histogram.feed_n b ~covered:q.q_cell.(k) ~covering q.q_count.(k)
-  done;
-  q.q_len <- base
-
-(* Aggregate the segment [base, len) by cell through a zeroed scratch
-   array (zeroed again on exit).  Counts are integers, so the per-cell
-   sums are exact and a later flush feeds the same totals it would have
-   fed entry by entry. *)
-let q_compact q ~base ~scratch ~touched =
-  let nt = ref 0 in
-  for k = base to q.q_len - 1 do
-    let c = q.q_cell.(k) in
-    if Float.equal scratch.(c) 0.0 then begin
-      touched.(!nt) <- c;
-      incr nt
-    end;
-    scratch.(c) <- scratch.(c) +. q.q_count.(k)
-  done;
-  for i = 0 to !nt - 1 do
-    let c = touched.(i) in
-    q.q_cell.(base + i) <- c;
-    q.q_count.(base + i) <- scratch.(c);
-    scratch.(c) <- 0.0
-  done;
-  q.q_len <- base + !nt
+(* Does evaluating the predicate read the element's character data? *)
+let rec reads_text = function
+  | Predicate.Text_eq _ | Text_prefix _ | Text_suffix _ | Text_contains _ -> true
+  | True | Tag _ | Attr_eq _ | Level_eq _ -> false
+  | And (a, b) | Or (a, b) -> reads_text a || reads_text b
+  | Not a -> reads_text a
 
 let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
     ?(with_levels = true) next preds =
@@ -606,7 +585,23 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
     | Some f -> Array.map (fun (_, pred) -> f pred) uniq
   in
   let evalp = Array.map (fun (_, pred) -> Predicate.compile_parts pred) uniq in
-  let pin = Array.map (fun (_, pred) -> Predicate.tag_of pred) uniq in
+  (* The predicates applicable to an element — those pinned to its tag
+     plus the unpinned ones — with whether any of them reads character
+     data: one table lookup per element, by tag. *)
+  let bucket us =
+    let us = Array.of_list us in
+    (us, Array.exists (fun u -> reads_text (snd uniq.(u))) us)
+  in
+  let pinned = Hashtbl.create 16 and unpinned = ref [] in
+  for u = p - 1 downto 0 do
+    match Predicate.tag_of (snd uniq.(u)) with
+    | Some t ->
+      Hashtbl.replace pinned t (u :: Option.value ~default:[] (Hashtbl.find_opt pinned t))
+    | None -> unpinned := u :: !unpinned
+  done;
+  let buckets = Hashtbl.create 16 in
+  Hashtbl.iter (fun t us -> Hashtbl.replace buckets t (bucket (us @ !unpinned))) pinned;
+  let unpinned = bucket !unpinned in
   let nwords = (p + mask_bits - 1) / mask_bits in
   let rec_size = 8 * (3 + nwords) in
   let spill_path = Filename.temp_file "xmlest-spill" ".bin" in
@@ -614,18 +609,21 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
     ~finally:(fun () -> try Sys.remove spill_path with Sys_error _ -> ())
   @@ fun () ->
   let n = ref 0 and pos = ref 0 and evals = ref 0 in
+  let matched = Array.make p 0 in
   (* --- Pass A: parse, evaluate at close events, spill post-order. ---- *)
   let () =
     let oc = open_out_bin spill_path in
     Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-    let rbuf = Bytes.create rec_size in
-    let words = Array.make (Int.max nwords 1) 0 in
+    let blk = Bytes.create (spill_block_records * rec_size) in
+    let used = ref 0 in
     (* Open-element frames; the buffer collects the element's direct
        character data across child elements, trimmed at close exactly as
-       Xml_parser trims Elem text. *)
+       Xml_parser trims Elem text — only for elements some applicable
+       predicate reads the text of. *)
     let f_tag = ref (Array.make 16 "") in
     let f_attrs = ref (Array.make 16 []) in
     let f_start = ref (Array.make 16 0) in
+    let f_preds = ref (Array.make 16 unpinned) in
     let f_text = ref (Array.init 16 (fun _ -> Buffer.create 16)) in
     let depth = ref 0 in
     let grow () =
@@ -634,6 +632,7 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
       f_tag := bigger !f_tag (fun _ -> "");
       f_attrs := bigger !f_attrs (fun _ -> []);
       f_start := bigger !f_start (fun _ -> 0);
+      f_preds := bigger !f_preds (fun _ -> unpinned);
       f_text := bigger !f_text (fun _ -> Buffer.create 16)
     in
     let rec loop () =
@@ -646,56 +645,52 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
           !f_tag.(!depth) <- tag;
           !f_attrs.(!depth) <- attrs;
           !f_start.(!depth) <- !pos;
+          !f_preds.(!depth) <-
+            Option.value ~default:unpinned (Hashtbl.find_opt buckets tag);
           Buffer.clear !f_text.(!depth);
           incr pos;
           incr depth
         | Sax.Text s ->
-          if !depth > 0 then Buffer.add_string !f_text.(!depth - 1) s
+          if !depth > 0 && snd !f_preds.(!depth - 1) then
+            Buffer.add_string !f_text.(!depth - 1) s
         | Sax.Close ->
           decr depth;
           let d = !depth in
           let tag = !f_tag.(d) and attrs = !f_attrs.(d) in
-          let text = Sax.trim_text (Buffer.contents !f_text.(d)) in
-          let start_pos = !f_start.(d) in
-          let end_pos = !pos in
+          let us, reads = !f_preds.(d) in
+          let text = if reads then Sax.trim_text (Buffer.contents !f_text.(d)) else "" in
+          if Int.equal !used (Bytes.length blk) then begin
+            output oc blk 0 !used;
+            used := 0
+          end;
+          let off = !used in
+          Bytes.set_int64_le blk off (Int64.of_int !f_start.(d));
+          Bytes.set_int64_le blk (off + 8) (Int64.of_int !pos);
+          Bytes.set_int64_le blk (off + 16) (Int64.of_int d);
+          Bytes.fill blk (off + 24) (8 * nwords) '\000';
+          evals := !evals + Array.length us;
+          Array.iter
+            (fun u ->
+              if evalp.(u) ~tag ~attrs ~text ~level:d then begin
+                matched.(u) <- matched.(u) + 1;
+                let w = off + 24 + (8 * (u / mask_bits)) in
+                Bytes.set_int64_le blk w
+                  (Int64.logor (Bytes.get_int64_le blk w)
+                     (Int64.shift_left 1L (u mod mask_bits)))
+              end)
+            us;
+          used := off + rec_size;
           incr pos;
-          Array.fill words 0 (Array.length words) 0;
-          for u = 0 to p - 1 do
-            let applicable =
-              match pin.(u) with Some t -> String.equal t tag | None -> true
-            in
-            if applicable then begin
-              incr evals;
-              if evalp.(u) ~tag ~attrs ~text ~level:d then
-                words.(u / mask_bits) <-
-                  words.(u / mask_bits) lor (1 lsl (u mod mask_bits))
-            end
-          done;
-          Bytes.set_int64_le rbuf 0 (Int64.of_int start_pos);
-          Bytes.set_int64_le rbuf 8 (Int64.of_int end_pos);
-          Bytes.set_int64_le rbuf 16 (Int64.of_int d);
-          for w = 0 to nwords - 1 do
-            Bytes.set_int64_le rbuf (24 + (8 * w)) (Int64.of_int words.(w))
-          done;
-          output_bytes oc rbuf;
           incr n);
         loop ()
     in
-    loop ()
+    loop ();
+    output oc blk 0 !used
   in
   if !n = 0 then failwith "Summary.build_stream: empty event stream";
   let max_pos = !pos - 1 in
-  let read_record ic rbuf =
-    really_input ic rbuf 0 rec_size;
-    let words =
-      Array.init (Int.max nwords 1) (fun w ->
-          if w < nwords then Int64.to_int (Bytes.get_int64_le rbuf (24 + (8 * w)))
-          else 0)
-    in
-    ( Int64.to_int (Bytes.get_int64_le rbuf 0),
-      Int64.to_int (Bytes.get_int64_le rbuf 8),
-      Int64.to_int (Bytes.get_int64_le rbuf 16),
-      words )
+  let matches blk off u =
+    spill_get blk off (3 + (u / mask_bits)) land (1 lsl (u mod mask_bits)) <> 0
   in
   (* --- Grid: uniform directly; equi-depth scans the spill for the
      quantile sample (starts and ends of matched nodes, once per
@@ -705,51 +700,34 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
     match grid_kind with
     | `Uniform -> (2, Grid.create ~size:grid_size ~max_pos)
     | `Equidepth ->
-      let acc = Array.make (Int.max p 1) [] in
-      let acc_n = Array.make (Int.max p 1) 0 in
-      let () =
-        let ic = open_in_bin spill_path in
-        Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-        let rbuf = Bytes.create rec_size in
-        for _ = 1 to !n do
-          let start_pos, end_pos, _, words = read_record ic rbuf in
-          for u = 0 to p - 1 do
-            if words.(u / mask_bits) land (1 lsl (u mod mask_bits)) <> 0
-            then begin
-              acc.(u) <- end_pos :: start_pos :: acc.(u);
-              acc_n.(u) <- acc_n.(u) + 1
-            end
-          done
-        done
-      in
-      let total =
-        List.fold_left
-          (fun t pred ->
-            t + acc_n.(Hashtbl.find uniq_index (Predicate.name pred)))
-          0 preds
-      in
+      let mult = Array.make p 0 in
+      List.iter
+        (fun pred ->
+          let u = Hashtbl.find uniq_index (Predicate.name pred) in
+          mult.(u) <- mult.(u) + 1)
+        preds;
+      let total = ref 0 in
+      Array.iteri (fun u m -> total := !total + (m * matched.(u))) mult;
       let positions =
-        if total = 0 then Array.init (2 * !n) Fun.id
+        if Int.equal !total 0 then Array.init (2 * !n) Fun.id
         else begin
-          let out = Array.make (2 * total) 0 in
-          let w = ref 0 in
-          List.iter
-            (fun pred ->
-              List.iter
-                (fun pos ->
-                  out.(!w) <- pos;
-                  incr w)
-                acc.(Hashtbl.find uniq_index (Predicate.name pred)))
-            preds;
+          let out = Array.make (2 * !total) 0 and w = ref 0 in
+          iter_spill_rev spill_path ~rec_size ~n:!n (fun blk off ->
+              for u = 0 to p - 1 do
+                if matches blk off u then
+                  for _ = 1 to mult.(u) do
+                    out.(!w) <- spill_get blk off 0;
+                    out.(!w + 1) <- spill_get blk off 1;
+                    w := !w + 2
+                  done
+              done);
           out
         end
       in
       Array.sort Int.compare positions;
       (3, Grid.equidepth ~size:grid_size ~max_pos ~positions)
   in
-  (* --- Pass B: replay the spill through the fused builders. ---------- *)
-  let cells = Grid.cells grid in
-  let stride = Int.max p 1 in
+  (* --- Pass B: replay the spill backwards through the fused builders. *)
   let hist_b = Array.init p (fun _ -> Position_histogram.builder grid) in
   let lvl_b =
     if with_levels then Some (Array.init p (fun _ -> Level_histogram.builder ()))
@@ -762,83 +740,63 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
         | Some true | None -> Some (Coverage_histogram.builder grid))
   in
   let pop_b = Position_histogram.builder grid in
-  let populations = Array.make cells 0.0 in
-  let counts = Array.make stride 0 in
-  let nest = Array.init stride (fun _ -> Interval_ops.close_stream ()) in
-  let queues = Array.init stride (fun _ -> q_make ()) in
-  let scratch = Array.make cells 0.0 in
-  let touched = Array.make cells 0 in
-  let merged = Array.make stride 0 in
-  let fr_start = ref (Array.make 64 0) in
-  let fr_base = ref (Array.make (64 * stride) 0) in
-  let fr_depth = ref 0 in
-  let () =
-    let ic = open_in_bin spill_path in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-    let rbuf = Bytes.create rec_size in
-    for _ = 1 to !n do
-      let start_pos, end_pos, level, words = read_record ic rbuf in
-      let i, j = Grid.cell_of_node grid ~start_pos ~end_pos in
+  let populations = Array.make (Grid.cells grid) 0.0 in
+  let nesting = Array.make p false in
+  (* Per predicate, the set members containing the current node: start
+     positions and cells, innermost last. *)
+  let st_start = Array.init p (fun _ -> Array.make 16 0) in
+  let st_cell = Array.init p (fun _ -> Array.make 16 0) in
+  let st_len = Array.make p 0 in
+  iter_spill_rev spill_path ~rec_size ~n:!n (fun blk off ->
+      let start_pos = spill_get blk off 0 in
+      let i, j = Grid.cell_of_node grid ~start_pos ~end_pos:(spill_get blk off 1) in
       let idx = Grid.index grid ~i ~j in
       populations.(idx) <- populations.(idx) +. 1.0;
       Position_histogram.feed_cell pop_b idx;
-      (* Pop completed child-subtree frames; the earliest child (popped
-         last) carries the merged pending-segment bases.  With no
-         children, the segment is empty at the current queue tails. *)
       for u = 0 to p - 1 do
-        merged.(u) <- queues.(u).q_len
-      done;
-      while !fr_depth > 0 && !fr_start.(!fr_depth - 1) > start_pos do
-        fr_depth := !fr_depth - 1;
-        for u = 0 to p - 1 do
-          merged.(u) <- !fr_base.((!fr_depth * stride) + u)
-        done
-      done;
-      for u = 0 to p - 1 do
-        let in_set = words.(u / mask_bits) land (1 lsl (u mod mask_bits)) <> 0 in
-        ignore (Interval_ops.feed_close nest.(u) ~start_pos ~in_set);
-        (match cvg_b.(u) with
-        | Some b ->
-          let q = queues.(u) in
-          let base = merged.(u) in
-          if in_set then q_flush q ~base ~covering:idx b;
-          q_push q idx;
-          if q.q_len - base > cells then q_compact q ~base ~scratch ~touched
-        | None -> ());
+        let starts = st_start.(u) in
+        let len = ref st_len.(u) in
+        while !len > 0 && starts.(!len - 1) > start_pos do
+          decr len
+        done;
+        let in_set = matches blk off u in
+        if !len > 0 then begin
+          (match cvg_b.(u) with
+          | Some b -> Coverage_histogram.feed b ~covered:idx ~covering:st_cell.(u).(!len - 1)
+          | None -> ());
+          if in_set then nesting.(u) <- true
+        end;
         if in_set then begin
+          if Int.equal !len (Array.length starts) then begin
+            let grow a =
+              let bigger = Array.make (2 * !len) 0 in
+              Array.blit a 0 bigger 0 !len;
+              bigger
+            in
+            st_start.(u) <- grow starts;
+            st_cell.(u) <- grow st_cell.(u)
+          end;
+          st_start.(u).(!len) <- start_pos;
+          st_cell.(u).(!len) <- idx;
+          incr len;
           Position_histogram.feed_cell hist_b.(u) idx;
           (match lvl_b with
-          | Some lb -> Level_histogram.feed lb.(u) level
-          | None -> ());
-          counts.(u) <- counts.(u) + 1
-        end
-      done;
-      if Int.equal !fr_depth (Array.length !fr_start) then begin
-        let starts = Array.make (2 * !fr_depth) 0 in
-        Array.blit !fr_start 0 starts 0 !fr_depth;
-        fr_start := starts;
-        let bases = Array.make (2 * !fr_depth * stride) 0 in
-        Array.blit !fr_base 0 bases 0 (!fr_depth * stride);
-        fr_base := bases
-      end;
-      !fr_start.(!fr_depth) <- start_pos;
-      for u = 0 to p - 1 do
-        !fr_base.((!fr_depth * stride) + u) <- merged.(u)
-      done;
-      fr_depth := !fr_depth + 1
-    done
-  in
+          | Some lb -> Level_histogram.feed lb.(u) (spill_get blk off 2)
+          | None -> ())
+        end;
+        st_len.(u) <- !len
+      done);
   let entries = Hashtbl.create 64 in
   Array.iteri
     (fun u (key, pred) ->
       let no_overlap =
         match schema.(u) with
         | Some b -> b
-        | None -> not (Interval_ops.close_nesting_seen nest.(u))
+        | None -> not nesting.(u)
       in
       let cvg =
         match cvg_b.(u) with
-        | Some b when no_overlap && counts.(u) > 0 ->
+        | Some b when no_overlap && matched.(u) > 0 ->
           Some (Coverage_histogram.finish b ~populations)
         | Some _ | None -> None
       in

@@ -85,8 +85,9 @@ val build_stream :
     Interval positions are assigned exactly as [Document.of_elem] would
     (one global counter: start at open, end at close) and per-node state
     — start, end, level, predicate match bitmask — spills to a temp file
-    in post-order, then replays through the same streaming builders the
-    fused path uses.  Because every builder is an order-insensitive exact
+    in post-order, then replays backwards (every ancestor before its
+    descendants) through the same streaming builders the fused path
+    uses.  Because every builder is an order-insensitive exact
     accumulator, the result is {e bit-identical} — {!to_string}-equal —
     to {!build} over the parsed document, for both grid kinds
     (property-tested).  The returned summary has no attached document

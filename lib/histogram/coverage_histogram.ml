@@ -62,13 +62,11 @@ type builder = {
 
 let builder grid = { b_grid = grid; b_counts = Array.make (Grid.cells grid) [] }
 
-let feed_n b ~covered ~covering k =
+let feed b ~covered ~covering =
   b.b_counts.(covered) <-
     (match b.b_counts.(covered) with
-    | (m, c) :: rest when Int.equal m covering -> (m, c +. k) :: rest
-    | l -> (covering, k) :: l)
-
-let feed b ~covered ~covering = feed_n b ~covered ~covering 1.0
+    | (m, c) :: rest when Int.equal m covering -> (m, c +. 1.0) :: rest
+    | l -> (covering, 1.0) :: l)
 
 (* Chunk merge: per covered cell, prepend the later chunk's run-length
    list (lists grow head-first, so the merged list keeps "head = latest").

@@ -28,9 +28,12 @@ val grid : t -> Grid.t
 
     The accumulation behind {!build}, exposed so that one shared document
     sweep (the fused summary construction) can drive many coverage
-    builders at once.  Feed, in document order, every node that has a
-    nearest strict P-ancestor; {!build} itself is implemented on these, so
-    an identical feed sequence yields a bit-identical histogram. *)
+    builders at once.  Feed every node that has a nearest strict
+    P-ancestor; {!build} itself is implemented on these.  {!finish}
+    re-sums each covered cell's counts per covering cell and sorts them,
+    so any order of the same feeds — document order, or the reversed
+    post-order of the out-of-core build — yields a bit-identical
+    histogram. *)
 
 type builder
 
@@ -39,11 +42,6 @@ val builder : Grid.t -> builder
 val feed : builder -> covered:int -> covering:int -> unit
 (** Record one node in dense cell [covered] whose nearest strict
     P-ancestor lies in dense cell [covering]. *)
-
-val feed_n : builder -> covered:int -> covering:int -> float -> unit
-(** [feed] a batch: record [k] nodes of cell [covered] at once (exact for
-    integer [k]).  The out-of-core streaming build accumulates covered
-    descendants per pending P-segment and flushes them in bulk. *)
 
 val merge_into : into:builder -> builder -> unit
 (** Merge the second builder (the {e later} chunk of a partitioned sweep)

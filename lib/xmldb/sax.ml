@@ -51,7 +51,10 @@ let reader_of_channel ic =
   }
 
 (* Make at least [n] bytes (or everything up to end of input) available at
-   [rpos]; [n] never exceeds [lookahead], far below the buffer size. *)
+   [rpos]; [n] never exceeds [lookahead], far below the buffer size.  This
+   is the slow path of every primitive below: each first checks the
+   window itself and only calls [ensure] when it runs dry, so a byte
+   inside the window costs no refill check. *)
 let ensure r n =
   if r.rlen - r.rpos < n && not r.drained then begin
     match r.refill with
@@ -72,12 +75,13 @@ let fail r message =
   raise (Xml_parser.Parse_error { line = r.line; column = r.col; message })
 
 let eof r =
-  ensure r 1;
-  r.rlen - r.rpos = 0
+  r.rpos >= r.rlen
+  && begin
+    ensure r 1;
+    r.rpos >= r.rlen
+  end
 
-let peek r =
-  ensure r 1;
-  if r.rlen - r.rpos = 0 then '\000' else Bytes.get r.buf r.rpos
+let peek r = if eof r then '\000' else Bytes.get r.buf r.rpos
 
 let peek2 r =
   ensure r 2;
@@ -93,6 +97,28 @@ let advance r =
     r.rpos <- r.rpos + 1
   end
 
+(* Consume window bytes up to (not including) the first [c1] or [c2] or
+   the window's end, keeping line and column current. *)
+let scan_until r c1 c2 =
+  let buf = r.buf and lim = r.rlen in
+  let p = ref r.rpos and line = ref r.line and col = ref r.col in
+  let go = ref true in
+  while !go && !p < lim do
+    let ch = Bytes.get buf !p in
+    if Char.equal ch c1 || Char.equal ch c2 then go := false
+    else begin
+      if ch = '\n' then begin
+        incr line;
+        col := 1
+      end
+      else incr col;
+      incr p
+    end
+  done;
+  r.rpos <- !p;
+  r.line <- !line;
+  r.col <- !col
+
 let skip_ws r =
   while
     (not (eof r)) && (match peek r with ' ' | '\t' | '\r' | '\n' -> true | _ -> false)
@@ -104,10 +130,14 @@ let expect r ch =
   if Char.equal (peek r) ch then advance r
   else fail r (Printf.sprintf "expected %C, found %C" ch (peek r))
 
+(* In-place comparison with the next [String.length s] bytes. *)
 let looking_at r s =
   let n = String.length s in
   ensure r n;
-  r.rlen - r.rpos >= n && String.equal (Bytes.sub_string r.buf r.rpos n) s
+  r.rlen - r.rpos >= n
+  &&
+  let rec eq k = k >= n || (Char.equal (Bytes.get r.buf (r.rpos + k)) s.[k] && eq (k + 1)) in
+  eq 0
 
 let skip_string r s =
   if looking_at r s then
@@ -133,15 +163,29 @@ let is_name_start ch =
 let is_name_char ch =
   is_name_start ch || (ch >= '0' && ch <= '9') || ch = '-' || ch = '.'
 
+(* Names are scanned in bulk inside the window (they hold no newline, so
+   the column moves by their length); a name that runs into the window's
+   end continues byte by byte across the refill. *)
 let parse_name r =
   if not (is_name_start (peek r)) then
     fail r (Printf.sprintf "expected a name, found %C" (peek r));
-  let b = Buffer.create 16 in
-  while (not (eof r)) && is_name_char (peek r) do
-    Buffer.add_char b (peek r);
-    advance r
+  let start = r.rpos in
+  let p = ref start in
+  while !p < r.rlen && is_name_char (Bytes.get r.buf !p) do
+    incr p
   done;
-  Buffer.contents b
+  r.col <- r.col + (!p - start);
+  r.rpos <- !p;
+  if !p < r.rlen || r.drained then Bytes.sub_string r.buf start (!p - start)
+  else begin
+    let b = Buffer.create 32 in
+    Buffer.add_subbytes b r.buf start (!p - start);
+    while (not (eof r)) && is_name_char (peek r) do
+      Buffer.add_char b (peek r);
+      advance r
+    done;
+    Buffer.contents b
+  end
 
 (* Decode an entity reference starting just after '&'. *)
 let parse_entity r =
@@ -197,6 +241,9 @@ let parse_attr_value r =
   advance r;
   let b = Buffer.create 16 in
   let rec go () =
+    let start = r.rpos in
+    scan_until r quote '&';
+    Buffer.add_subbytes b r.buf start (r.rpos - start);
     if eof r then fail r "unterminated attribute value"
     else if Char.equal (peek r) quote then advance r
     else if peek r = '&' then begin
@@ -204,11 +251,7 @@ let parse_attr_value r =
       Buffer.add_string b (parse_entity r);
       go ()
     end
-    else begin
-      Buffer.add_char b (peek r);
-      advance r;
-      go ()
-    end
+    else go ()
   in
   go ();
   Buffer.contents b
@@ -319,41 +362,59 @@ let close_element t =
 (* One contiguous run of character data: raw text, entity references, and
    CDATA sections, ended by markup or end of input.  Comments and PIs also
    end the run — the consumer concatenates runs per element, so the result
-   matches Xml_parser's single accumulating buffer. *)
+   matches Xml_parser's single accumulating buffer.  Plain text is scanned
+   in bulk inside the window; a run that is one plain span ended by
+   markup (the common case) is copied out once, with no buffer. *)
 let parse_text_run t =
   let r = t.r in
-  let b = Buffer.create 64 in
-  let rec go () =
-    if eof r then ()
-    else if peek r = '<' then begin
-      if looking_at r "<![CDATA[" then begin
-        skip_string r "<![CDATA[";
-        let rec find () =
-          if eof r then fail r "unterminated CDATA section"
-          else if looking_at r "]]>" then skip_string r "]]>"
-          else begin
-            Buffer.add_char b (peek r);
-            advance r;
-            find ()
-          end
-        in
-        find ();
+  let start = r.rpos in
+  scan_until r '<' '&';
+  let first = Bytes.sub_string r.buf start (r.rpos - start) in
+  if r.rpos < r.rlen && Bytes.get r.buf r.rpos = '<' && not (looking_at r "<![CDATA[")
+  then first
+  else begin
+    let b = Buffer.create (String.length first + 64) in
+    Buffer.add_string b first;
+    let rec go () =
+      if eof r then ()
+      else if peek r = '<' then begin
+        if looking_at r "<![CDATA[" then begin
+          skip_string r "<![CDATA[";
+          let rec find () =
+            if eof r then fail r "unterminated CDATA section"
+            else if looking_at r "]]>" then skip_string r "]]>"
+            else begin
+              let start = r.rpos in
+              scan_until r ']' ']';
+              if r.rpos > start then
+                Buffer.add_subbytes b r.buf start (r.rpos - start)
+              else begin
+                (* a ']' that does not open "]]>" *)
+                Buffer.add_char b (peek r);
+                advance r
+              end;
+              find ()
+            end
+          in
+          find ();
+          go ()
+        end
+      end
+      else if peek r = '&' then begin
+        advance r;
+        Buffer.add_string b (parse_entity r);
         go ()
       end
-    end
-    else if peek r = '&' then begin
-      advance r;
-      Buffer.add_string b (parse_entity r);
-      go ()
-    end
-    else begin
-      Buffer.add_char b (peek r);
-      advance r;
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents b
+      else begin
+        let start = r.rpos in
+        scan_until r '<' '&';
+        Buffer.add_subbytes b r.buf start (r.rpos - start);
+        go ()
+      end
+    in
+    go ();
+    Buffer.contents b
+  end
 
 let rec next t =
   match t.pending with

@@ -569,12 +569,51 @@ let test_stream_equals_build_datasets () =
             (List.init 10 (fun k ->
                  Xmlest.Predicate.text_eq ~tag:"year" (string_of_int (1990 + k))));
         ] );
+      (* Shapes that stress the ancestor stacks: a 10^4-deep chain (a
+         single-node predicate halfway down covers the lower half), a
+         wide root whose children all close before it, and same-tag
+         nesting. *)
+      ( "deep chain",
+        (let rec chain d =
+           if d = 10_000 then Xmlest.Elem.leaf "leaf" "x"
+           else
+             Xmlest.Elem.make
+               (if d land 1 = 0 then "s" else "t")
+               ~text:(string_of_int (d mod 3))
+               ~children:[ chain (d + 1) ]
+         in
+         chain 0),
+        [
+          tagp "s";
+          tagp "leaf";
+          Xmlest.Predicate.And (tagp "t", Xmlest.Predicate.Level_eq 5_001);
+          Xmlest.Predicate.text_eq ~tag:"t" "1";
+        ] );
+      ( "wide root",
+        Xmlest.Elem.make "root"
+          ~children:
+            (List.init 5_000 (fun k ->
+                 Xmlest.Elem.leaf
+                   (if k mod 3 = 0 then "a" else "b")
+                   (string_of_int (k mod 7)))),
+        [ tagp "root"; tagp "a"; Xmlest.Predicate.text_eq ~tag:"b" "3" ] );
+      ( "same-tag nesting",
+        Test_util.nested ~depth:6 ~fanout:3,
+        [
+          tagp "section";
+          tagp "para";
+          Xmlest.Predicate.And (tagp "section", Xmlest.Predicate.Level_eq 3);
+          Xmlest.Predicate.text_eq ~tag:"para" "text";
+        ] );
     ]
   in
   List.iter
     (fun (name, elem, preds) ->
       let doc = Xmlest.Document.of_elem elem in
-      let xml = Xmlest.Xml_writer.to_string elem in
+      (* indentation costs O(depth^2) bytes on the deep chain *)
+      let xml =
+        Xmlest.Xml_writer.to_string ~indent:(Xmlest.Elem.depth elem < 100) elem
+      in
       List.iter
         (fun grid_kind ->
           let mem = Xmlest.Summary.build ~grid_kind doc preds in
@@ -626,6 +665,46 @@ let test_stream_build_file_and_stats () =
   Alcotest.check_raises "empty stream rejected"
     (Failure "Summary.build_stream: empty event stream") (fun () ->
       ignore (Xmlest.Summary.build_stream (fun () -> None) [ tagp "a" ]))
+
+(* The streamed build keeps O(depth) state: a flat document of 200,000
+   leaves under one root, fed from a synthetic event source (no XML text,
+   no Document.t), must not grow the major heap by more than a few MB.
+   Without a bound on pass B's ancestor bookkeeping every closed child
+   stays queued per predicate, which grows the heap by tens of MB here. *)
+let test_stream_build_bounded_memory () =
+  let leaves = 200_000 in
+  let state = ref 0 in
+  let values = Array.init 10 (fun k -> Xmlest.Sax.Text (string_of_int k)) in
+  let next () =
+    let k = !state in
+    incr state;
+    if k = 0 then Some (Xmlest.Sax.Open { tag = "root"; attrs = [] })
+    else if k <= 3 * leaves then
+      match (k - 1) mod 3 with
+      | 0 ->
+        Some
+          (Xmlest.Sax.Open
+             { tag = (if k mod 2 = 0 then "x" else "y"); attrs = [] })
+      | 1 -> Some values.(k mod 10)
+      | _ -> Some Xmlest.Sax.Close
+    else if k = (3 * leaves) + 1 then Some Xmlest.Sax.Close
+    else None
+  in
+  let preds =
+    [ tagp "root"; tagp "x"; tagp "y"; Xmlest.Predicate.text_eq ~tag:"x" "4" ]
+  in
+  Gc.compact ();
+  let before = (Gc.quick_stat ()).Gc.heap_words in
+  let s = Xmlest.Summary.build_stream next preds in
+  let grown_mb =
+    float_of_int (((Gc.quick_stat ()).Gc.heap_words - before) * (Sys.word_size / 8))
+    /. 1e6
+  in
+  check Alcotest.(float 0.0) "every node counted"
+    (float_of_int (leaves + 1))
+    (Xmlest.Position_histogram.total (Xmlest.Summary.population s));
+  if grown_mb >= 8.0 then
+    Alcotest.failf "major heap grew by %.1f MB (bound 8 MB)" grown_mb
 
 (* --- Parallel vs sequential construction and estimation --------------- *)
 
@@ -1197,6 +1276,8 @@ let () =
             test_stream_equals_build_datasets;
           Alcotest.test_case "streamed file build and stats" `Quick
             test_stream_build_file_and_stats;
+          Alcotest.test_case "streamed build in bounded memory" `Quick
+            test_stream_build_bounded_memory;
           Alcotest.test_case "build stats" `Quick test_build_stats;
           Alcotest.test_case "build_time is wall-clock" `Quick
             test_build_time_is_wall_clock;

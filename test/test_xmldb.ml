@@ -166,6 +166,202 @@ let prop_parser_never_crashes_xmlish =
       match Xmlest.Xml_parser.parse_string (Buffer.contents b) with
       | Ok _ | Error _ -> true)
 
+(* --- SAX stream = tree parser ------------------------------------------ *)
+
+(* Rebuild an element tree from the SAX events: each element's Text runs
+   concatenated and trimmed, exactly as the tree parser builds Elem text. *)
+let sax_tree sax =
+  let stack = ref [] and root = ref None in
+  let rec go () =
+    match Xmlest.Sax.next sax with
+    | None -> ()
+    | Some (Xmlest.Sax.Open { tag; attrs }) ->
+      stack := (tag, attrs, Buffer.create 16, ref []) :: !stack;
+      go ()
+    | Some (Xmlest.Sax.Text s) ->
+      (match !stack with
+      | (_, _, b, _) :: _ -> Buffer.add_string b s
+      | [] -> Alcotest.fail "text outside the root");
+      go ()
+    | Some Xmlest.Sax.Close ->
+      (match !stack with
+      | (tag, attrs, b, kids) :: rest ->
+        let e =
+          Xmlest.Elem.make ~attrs
+            ~text:(Xmlest.Sax.trim_text (Buffer.contents b))
+            ~children:(List.rev !kids) tag
+        in
+        stack := rest;
+        (match rest with
+        | (_, _, _, k) :: _ -> k := e :: !k
+        | [] -> root := Some e)
+      | [] -> Alcotest.fail "close without open");
+      go ()
+  in
+  match go () with
+  | () -> (
+    match !root with
+    | Some e -> Ok e
+    | None -> Alcotest.fail "stream ended without a root")
+  | exception Xmlest.Xml_parser.Parse_error e -> Error e
+
+let sax_of_file s =
+  let path = Filename.temp_file "xmlest_sax" ".xml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc s);
+      In_channel.with_open_bin path (fun ic -> sax_tree (Xmlest.Sax.of_channel ic)))
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok x, Ok y -> Xmlest.Elem.equal x y
+  | Error x, Error y ->
+    Int.equal x.Xmlest.Xml_parser.line y.Xmlest.Xml_parser.line
+    && Int.equal x.Xmlest.Xml_parser.column y.Xmlest.Xml_parser.column
+    && String.equal x.Xmlest.Xml_parser.message y.Xmlest.Xml_parser.message
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let show_outcome = function
+  | Ok e -> Format.asprintf "Ok %a" Xmlest.Elem.pp e
+  | Error e -> Format.asprintf "Error %a" Xmlest.Xml_parser.pp_error e
+
+(* The tree parser's outcome against the SAX stream's, read from the
+   string and through a channel; [None] when all three agree. *)
+let parser_disagreement s =
+  let tree = Xmlest.Xml_parser.parse_string s in
+  let from_string = sax_tree (Xmlest.Sax.of_string s) in
+  let from_channel = sax_of_file s in
+  if same_outcome tree from_string && same_outcome tree from_channel then None
+  else
+    Some
+      (Printf.sprintf "tree: %s\nsax string: %s\nsax channel: %s"
+         (show_outcome tree) (show_outcome from_string) (show_outcome from_channel))
+
+(* Raw XML with every construct the lexers share: prolog material,
+   attributes in both quote styles, entity and character references,
+   CDATA with stray ']', comments and PIs inside content, self-closing
+   elements, and multi-line text runs. *)
+let random_xml st =
+  let b = Buffer.create 256 in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let tags = [| "a"; "b"; "c_1"; "x:y"; "long-name.z" |] in
+  let words =
+    [| "text"; " "; "\n"; "  \n\t"; "&amp;"; "&lt;"; "&#65;"; "&#x263A;"; "q\"'" |]
+  in
+  let text () =
+    for _ = 0 to Random.State.int st 3 do
+      Buffer.add_string b (pick words)
+    done
+  in
+  if Random.State.bool st then Buffer.add_string b "<?xml version=\"1.0\"?>\n";
+  if Random.State.int st 4 = 0 then
+    Buffer.add_string b "<!DOCTYPE a [<!ELEMENT a ANY>]>\n";
+  let rec elem depth =
+    let tag = pick tags in
+    Buffer.add_string b ("<" ^ tag);
+    for k = 1 to Random.State.int st 3 do
+      let q = if Random.State.bool st then "\"" else "'" in
+      Buffer.add_string b
+        (Printf.sprintf "%sk%d =%s%s&amp;v\n%d%s" (pick [| " "; "\n " |]) k q
+           (pick [| ""; "x"; "&lt;y" |]) k q)
+    done;
+    if depth > 3 || Random.State.int st 4 = 0 then Buffer.add_string b "/>"
+    else begin
+      Buffer.add_string b ">";
+      for _ = 0 to Random.State.int st 4 do
+        match Random.State.int st 6 with
+        | 0 | 1 -> text ()
+        | 2 -> Buffer.add_string b "<![CDATA[a]b]]c<&]]>"
+        | 3 -> Buffer.add_string b (pick [| "<!-- c -->"; "<?pi x?>" |])
+        | _ -> elem (depth + 1)
+      done;
+      Buffer.add_string b ("</" ^ tag ^ pick [| ">"; " >"; "\n>" |])
+    end
+  in
+  elem 0;
+  if Random.State.bool st then Buffer.add_string b "\n<!-- tail -->\n";
+  Buffer.contents b
+
+(* Byte mutations that reach the lexers' error paths: a byte replaced by
+   a markup character, deleted, duplicated, or the input truncated. *)
+let mutate st s =
+  let n = String.length s in
+  if n = 0 then s
+  else
+    let k = Random.State.int st n in
+    match Random.State.int st 5 with
+    | 0 -> s
+    | 1 ->
+      let b = Bytes.of_string s in
+      Bytes.set b k "<>&;/!?[]=\"' \nab".[Random.State.int st 16];
+      Bytes.to_string b
+    | 2 -> String.sub s 0 k ^ String.sub s (k + 1) (n - k - 1)
+    | 3 -> String.sub s 0 (k + 1) ^ String.sub s k (n - k)
+    | _ -> String.sub s 0 k
+
+let prop_sax_equals_tree_parser =
+  QCheck.Test.make ~count:300
+    ~name:"sax stream = tree parser (trees and error positions, mutated docs)"
+    (QCheck.make
+       ~print:(fun s -> Printf.sprintf "%S" s)
+       (fun st -> mutate st (random_xml st)))
+    (fun s ->
+      match parser_disagreement s with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+(* Inputs longer than the SAX reader's 64 KiB window, with each construct
+   placed so that one offset in a sweep lands the window's end inside its
+   critical bytes: a name, an entity, the "]]>" terminator, a "</", and a
+   multi-line text run.  Each document is checked intact, with a later
+   mismatched tag (an error positioned after the straddle) and truncated
+   just after the construct. *)
+let test_sax_window_straddles () =
+  let window = 65536 in
+  let constructs =
+    [
+      ("name", "<averyverylongname a='1'>t</averyverylongname>", 1, 17);
+      ("entity", "<e>ab&#x263A;c&amp;d</e>", 5, 14);
+      ("cdata end", "<c><![CDATA[x]y]]>z</c>", 15, 3);
+      ("end tag", "<d>text</d>", 7, 2);
+      ("text lines", "<m>one\ntwo\n\nthree  \n</m>", 3, 19);
+    ]
+  in
+  let filler =
+    let b = Buffer.create window in
+    Buffer.add_string b "<doc>\n<item k=\"v\">some &amp; text</item>\n<f>";
+    while Buffer.length b < window - 200 do
+      Buffer.add_string b "filler text of one line\n"
+    done;
+    Buffer.add_string b "</f>\n";
+    Buffer.contents b
+  in
+  List.iter
+    (fun (name, construct, crit, len) ->
+      for k = 0 to len do
+        (* Byte [crit + k - 1] of the construct is the window's last. *)
+        let pad = window - String.length filler - (crit + k) - 7 in
+        let head = filler ^ "<!--" ^ String.make pad 'p' ^ "-->" ^ construct in
+        assert (String.length head - String.length construct + crit + k = window);
+        let docs =
+          [
+            head ^ "\n<tail>after</tail>\n</doc>\n";
+            head ^ "\n<tail>after</tial>\n</doc>\n";
+            head;
+          ]
+        in
+        List.iteri
+          (fun variant doc ->
+            match parser_disagreement doc with
+            | None -> ()
+            | Some msg ->
+              Alcotest.failf "%s, window end at +%d, variant %d:\n%s" name k
+                variant msg)
+          docs
+      done)
+    constructs
+
 (* --- Document labeling ------------------------------------------------ *)
 
 let test_labeling_intervals () =
@@ -479,6 +675,9 @@ let () =
           qcheck prop_roundtrip_compact;
           qcheck prop_parser_never_crashes;
           qcheck prop_parser_never_crashes_xmlish;
+          qcheck prop_sax_equals_tree_parser;
+          Alcotest.test_case "sax across the refill window" `Quick
+            test_sax_window_straddles;
         ] );
       ( "document",
         [
